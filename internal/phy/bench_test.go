@@ -13,11 +13,15 @@ import (
 // with senders rotating through the population so no single neighborhood
 // stays hot. Sharded delivery evaluates one interference neighborhood per
 // frame, so ns/op should stay roughly flat as the world grows; the
-// Unsharded variant (DisableSharding: the pre-shard O(radios) scan) scales
+// Unsharded variant (flatScan: the pre-shard O(radios) scan) scales
 // linearly and is the comparison floor for the events/sec claim.
-func benchmarkMediumBroadcast(b *testing.B, n int, disable bool) {
+func benchmarkMediumBroadcast(b *testing.B, n int, flat bool) {
 	k := sim.NewKernel(1)
-	m := NewMedium(k, Config{DisableSharding: disable})
+	newMedium := NewMedium
+	if flat {
+		newMedium = newFlatMedium
+	}
+	m := newMedium(k, Config{})
 	side := int(math.Ceil(math.Sqrt(float64(n))))
 	plan := [3]Channel{1, 6, 11}
 	for i := 0; i < n; i++ {
@@ -41,6 +45,44 @@ func benchmarkMediumBroadcast(b *testing.B, n int, disable bool) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
+// denseRadios and denseSenders shape the dense case: a crowd inside one
+// decode range on every channel, with several frames on the air at once.
+const (
+	denseRadios  = 256
+	denseSenders = 8
+)
+
+// benchmarkMediumBroadcastDense measures the campus-join shape the sparse
+// cases never reach: denseRadios radios on a 16×16 grid at 8 m spacing
+// (all within one default-power decode range) cycling through channels
+// 1–11, and denseSenders of them transmitting in the same instant each
+// iteration. Every completion then fans out to a large mixed-channel
+// candidate set and runs the capture test against the other overlapping
+// frames. One op is one burst of denseSenders transmissions.
+func benchmarkMediumBroadcastDense(b *testing.B) {
+	k := sim.NewKernel(1)
+	m := NewMedium(k, Config{})
+	for i := 0; i < denseRadios; i++ {
+		r := m.AddRadio(RadioConfig{
+			Name:    fmt.Sprintf("r%d", i),
+			Pos:     Position{X: float64(i%16) * 8, Y: float64(i/16) * 8},
+			Channel: MinChannel + Channel(i%int(MaxChannel)),
+		})
+		r.SetReceiver(func(data []byte, info RxInfo) {})
+	}
+	radios := m.Radios()
+	payload := make([]byte, 512)
+	var events uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < denseSenders; j++ {
+			radios[(i*denseSenders+j)*37%denseRadios].Send(payload, Rate11Mbps)
+		}
+		events += k.RunFor(sim.Millisecond)
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+}
+
 func BenchmarkMediumBroadcast(b *testing.B) {
 	for _, n := range []int{64, 1024, 4096} {
 		n := n
@@ -48,6 +90,7 @@ func BenchmarkMediumBroadcast(b *testing.B) {
 			benchmarkMediumBroadcast(b, n, false)
 		})
 	}
+	b.Run("dense", benchmarkMediumBroadcastDense)
 }
 
 func BenchmarkMediumBroadcastUnsharded(b *testing.B) {

@@ -1,0 +1,181 @@
+package phy
+
+import (
+	"math"
+	"sort"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// newFlatMedium builds a medium whose delivery walks every attached radio in
+// attach order: the pre-shard O(radios) medium, kept as the differential
+// oracle for the sharded index and as the benchmark floor.
+func newFlatMedium(k *sim.Kernel, cfg Config) *Medium {
+	m := NewMedium(k, cfg)
+	m.flatScan, m.spatial = true, false
+	return m
+}
+
+// refGatherInto is the comparison-sort gather the bitset walk replaced,
+// kept verbatim as the oracle: append the neighborhood's member lists (or
+// probed grid cells), then sort by global attach index.
+func refGatherInto(m *Medium, cand []*Radio, tx *transmission) []*Radio {
+	lo, hi := channelNeighborhood(tx.channel)
+	if !m.spatial {
+		// Shadowing mode: reception at any distance is a draw, so every
+		// radio in the channel neighborhood participates.
+		for ch := lo; ch <= hi; ch++ {
+			cand = append(cand, m.shards[ch].radios...)
+		}
+	} else {
+		rad := m.maxDecodeRange(tx.powerDBm)
+		p := tx.src.pos
+		cx0 := int32(math.Floor((p.X - rad) / m.cellSize))
+		cx1 := int32(math.Floor((p.X + rad) / m.cellSize))
+		cy0 := int32(math.Floor((p.Y - rad) / m.cellSize))
+		cy1 := int32(math.Floor((p.Y + rad) / m.cellSize))
+		cells := int64(cx1-cx0+1) * int64(cy1-cy0+1)
+		for ch := lo; ch <= hi; ch++ {
+			s := &m.shards[ch]
+			if len(s.radios) == 0 {
+				continue
+			}
+			if int64(len(s.radios)) <= cells {
+				// Sparse shard: scanning the member list beats probing more
+				// cells than it has radios. Safe either way — the decode
+				// floor, not the grid, is the exact filter.
+				cand = append(cand, s.radios...)
+				continue
+			}
+			for cy := cy0; cy <= cy1; cy++ {
+				for cx := cx0; cx <= cx1; cx++ {
+					cand = append(cand, s.grid[gridKey{cx, cy}]...)
+				}
+			}
+		}
+	}
+	sort.Slice(cand, func(i, j int) bool { return cand[i].idx < cand[j].idx })
+	return cand
+}
+
+// gatherBranches reports which gather branches tx's neighborhood takes in a
+// spatial medium: a sparse shard's member list, a grid-cell probe, or both.
+func gatherBranches(m *Medium, tx *transmission) (sparse, grid bool) {
+	rad := m.maxDecodeRange(tx.powerDBm)
+	p := tx.src.pos
+	nx := int64(math.Floor((p.X+rad)/m.cellSize)) - int64(math.Floor((p.X-rad)/m.cellSize)) + 1
+	ny := int64(math.Floor((p.Y+rad)/m.cellSize)) - int64(math.Floor((p.Y-rad)/m.cellSize)) + 1
+	lo, hi := channelNeighborhood(tx.channel)
+	for ch := lo; ch <= hi; ch++ {
+		switch n := int64(len(m.shards[ch].radios)); {
+		case n == 0:
+		case n <= nx*ny:
+			sparse = true
+		default:
+			grid = true
+		}
+	}
+	return sparse, grid
+}
+
+func sameRadios(a, b []*Radio) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGatherMatchesSortedReference drives random seeded sequences of
+// attaches, retunes, moves, sends and kernel advances, and after every send
+// compares the bitset gather — on the serial buffers and through the
+// prepare hook — with the sort-based oracle. Channels lean on the 1/6/11
+// plan so some shards outgrow the probed rectangle (grid branch) while
+// others stay sparse (member-bitset OR); a share of radios transmit 6 dB
+// hot, as a rogue does, which widens the rectangle; shadowing mode ORs in
+// the whole neighborhood.
+func TestGatherMatchesSortedReference(t *testing.T) {
+	var sends, sparseHits, gridHits, hotSends, prepares int
+	for seed := uint64(1); seed <= 12; seed++ {
+		for _, sigma := range []float64{0, 3} {
+			rng := sim.NewRNG(seed)
+			k := sim.NewKernel(seed)
+			m := NewMedium(k, Config{ShadowingSigmaDB: sigma})
+			randChannel := func() Channel {
+				if rng.Bool(0.7) {
+					return [3]Channel{1, 6, 11}[rng.Intn(3)]
+				}
+				return MinChannel + Channel(rng.Intn(int(MaxChannel)))
+			}
+			randPos := func() Position {
+				// ±1.5 km spans several ~400 m grid cells.
+				return Position{X: rng.Float64()*3000 - 1500, Y: rng.Float64()*3000 - 1500}
+			}
+			addRadio := func() {
+				power := float64(defaultTxPowerDBm)
+				if rng.Bool(0.1) {
+					power += 6
+				}
+				r := m.AddRadio(RadioConfig{Name: "r", Pos: randPos(), Channel: randChannel(), TxPowerDBm: power})
+				r.SetReceiver(func(data []byte, info RxInfo) {})
+			}
+			for i := 0; i < 60; i++ {
+				addRadio()
+			}
+			var ref, got []*Radio
+			var set []uint64
+			for op := 0; op < 400; op++ {
+				radios := m.Radios()
+				r := radios[rng.Intn(len(radios))]
+				switch rng.Intn(10) {
+				case 0:
+					addRadio()
+				case 1, 2:
+					r.SetChannel(randChannel())
+				case 3:
+					r.SetPosition(randPos())
+				case 4:
+					k.RunFor(sim.Time(rng.Intn(2000)) * sim.Microsecond)
+				default:
+					r.Send(make([]byte, 100+rng.Intn(400)), Rate11Mbps)
+					active := m.shard(r.channel).active
+					tx := active[len(active)-1]
+					ref = refGatherInto(m, ref[:0], tx)
+					got, set = m.gatherInto(got[:0], set, tx)
+					if !sameRadios(got, ref) {
+						t.Fatalf("seed %d sigma %v op %d: gather %d candidates, oracle %d", seed, sigma, op, len(got), len(ref))
+					}
+					sends++
+					if tx.powerDBm > defaultTxPowerDBm {
+						hotSends++
+					}
+					if m.spatial {
+						sp, gr := gatherBranches(m, tx)
+						if sp {
+							sparseHits++
+						}
+						if gr {
+							gridHits++
+						}
+						m.prepare(tx)
+						if !tx.prep.prepared || !sameRadios(tx.prep.cand, ref) {
+							t.Fatalf("seed %d op %d: prepared gather differs from the oracle", seed, op)
+						}
+						prepares++
+					}
+				}
+			}
+			k.Run()
+		}
+	}
+	t.Logf("%d sends: %d sparse, %d grid, %d hot, %d prepares", sends, sparseHits, gridHits, hotSends, prepares)
+	if sparseHits == 0 || gridHits == 0 || hotSends == 0 || prepares == 0 {
+		t.Fatalf("weak coverage: %d sends, %d sparse, %d grid, %d hot, %d prepares",
+			sends, sparseHits, gridHits, hotSends, prepares)
+	}
+}

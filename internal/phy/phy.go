@@ -101,11 +101,6 @@ type Config struct {
 	CaptureThresholdDB float64
 	// CarrierSenseDBm: energy above this is "channel busy" (default -85).
 	CarrierSenseDBm float64
-	// DisableSharding makes delivery scan every attached radio per
-	// transmission, the pre-shard O(radios) behaviour. It exists for the
-	// differential tests and the sharded-vs-unsharded benchmarks; real
-	// worlds never set it.
-	DisableSharding bool
 }
 
 func (c *Config) fill() {
@@ -163,11 +158,19 @@ type Medium struct {
 	cellSize float64
 	// spatial enables grid pruning plus the decode floor. It is off when
 	// shadowing is on (reception at any distance is then a draw the loss
-	// model must keep making) and under DisableSharding.
+	// model must keep making) and under flatScan.
 	spatial bool
-	// cand is the delivery loop's candidate scratch buffer. Prepare hooks
-	// never touch it — each transmission's txPrep owns its own buffer.
-	cand []*Radio
+	// flatScan makes delivery walk every attached radio in attach order,
+	// the pre-shard O(radios) medium. Only in-package tests set it, as the
+	// differential oracle and the sharded-vs-unsharded benchmark floor.
+	flatScan bool
+	// cand/candSet/capture are the serial delivery loop's scratch: the
+	// candidate list, the bitset that orders it, and the capture-factor
+	// table. Prepare hooks never touch them — each transmission's txPrep
+	// owns its own.
+	cand    []*Radio
+	candSet []uint64
+	capture captureScratch
 
 	// posGen/chanGen are staleness stamps for speculative delivery prepares
 	// (prepare.go): any SetPosition bumps posGen; attaching or retuning a
@@ -233,7 +236,7 @@ func NewMedium(k *sim.Kernel, cfg Config) *Medium {
 	cfg.fill()
 	m := &Medium{kernel: k, cfg: cfg, rng: k.RNG().Fork()}
 	m.cellSize = m.maxDecodeRange(defaultTxPowerDBm)
-	m.spatial = cfg.ShadowingSigmaDB == 0 && !cfg.DisableSharding
+	m.spatial = cfg.ShadowingSigmaDB == 0
 	// The medium is the kernel's only source of preparable events, and every
 	// completion it schedules is at least one PLCP preamble away — the
 	// minimum airtime is the conservative lookahead (DESIGN.md §14).
@@ -585,7 +588,7 @@ func (m *Medium) complete(tx *transmission) {
 	var cand []*Radio
 	var prx []prepRx
 	switch {
-	case m.cfg.DisableSharding:
+	case m.flatScan:
 		cand = m.radios
 	case m.prepValid(tx):
 		cand = tx.prep.cand
@@ -595,6 +598,7 @@ func (m *Medium) complete(tx *transmission) {
 		cand = m.gatherCandidates(tx)
 		m.PrepStale++
 	}
+	m.capture.reset(len(overlaps))
 	for i, rx := range cand {
 		// No-receiver radios (the fault jammer is the only kind) are skipped
 		// before any loss draw: there is nothing to deliver to, so burning
@@ -613,12 +617,12 @@ func (m *Medium) complete(tx *transmission) {
 				// Overlaps registered after the prepare ran (the list is
 				// append-only until retire) fold in serially; collided is an
 				// order-insensitive OR, so prefix-then-suffix is exact.
-				collided = m.overlapCollides(overlaps[tx.prep.overlapsN:], rx, rssi)
+				collided = m.overlapCollides(tx, overlaps, tx.prep.overlapsN, rx, rssi, &m.capture)
 			}
 		} else {
 			rej := channelRejectionDB(tx.channel, rx.channel)
 			if math.IsInf(rej, 1) {
-				// Only reachable via the DisableSharding scan; the shard
+				// Only reachable via the flatScan walk; the shard
 				// neighborhood never yields an orthogonal-channel radio.
 				continue
 			}
@@ -633,7 +637,7 @@ func (m *Medium) complete(tx *transmission) {
 			// exactly as before, however hopeless rejection makes them).
 			floor = m.spatial && snr+rej < decodeFloorSNRDB
 			if !floor {
-				collided = m.overlapCollides(overlaps, rx, rssi)
+				collided = m.overlapCollides(tx, overlaps, 0, rx, rssi, &m.capture)
 			}
 		}
 		if floor {
@@ -660,25 +664,6 @@ func (m *Medium) complete(tx *transmission) {
 		}
 		rx.recv(tx.data, info)
 	}
-}
-
-// overlapCollides reports whether any transmission in overlaps is loud enough
-// at rx to defeat capture of a frame received at rssi. No RNG, no counters —
-// the same pure predicate serves the serial path, the prepare hook (prefix),
-// and the commit-time fold (suffix). The early return is sound for the same
-// reason the prefix/suffix split is: only the OR is observable.
-func (m *Medium) overlapCollides(overlaps []*transmission, rx *Radio, rssi float64) bool {
-	for _, o := range overlaps {
-		orej := channelRejectionDB(o.channel, rx.channel)
-		if math.IsInf(orej, 1) {
-			continue
-		}
-		op := o.powerDBm - m.pathLossDB(o.src.pos, rx.pos) - orej
-		if rssi-op < m.cfg.CaptureThresholdDB {
-			return true
-		}
-	}
-	return false
 }
 
 // retire marks tx finished and recycles every transmission that is no longer

@@ -170,7 +170,11 @@ func TestShardedMatchesUnshardedDigest(t *testing.T) {
 		digests := map[bool]uint64{}
 		for _, unsharded := range []bool{false, true} {
 			k := sim.NewKernel(7)
-			m := NewMedium(k, Config{ShadowingSigmaDB: sigma, DisableSharding: unsharded})
+			newMedium := NewMedium
+			if unsharded {
+				newMedium = newFlatMedium
+			}
+			m := newMedium(k, Config{ShadowingSigmaDB: sigma})
 			radios := make([]*Radio, 0, 30)
 			for i := 0; i < 30; i++ {
 				ch := Channel(1 + 5*(i%3)) // channels 1/6/11

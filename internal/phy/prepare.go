@@ -51,8 +51,12 @@ type txPrep struct {
 	nChan     int
 	chanGen   [9]uint64 // stamps for channelNeighborhood(channel), ≤ 9 wide
 	overlapsN int       // overlaps prefix the interference scan covered
-	cand      []*Radio
-	rx        []prepRx
+	// cand/candSet/capture are this prepare's own gather and capture
+	// scratch, so concurrent prepares share no buffer.
+	cand    []*Radio
+	candSet []uint64
+	capture captureScratch
+	rx      []prepRx
 }
 
 // prepare speculatively computes tx's delivery. Runs on a prepare lane; see
@@ -72,7 +76,9 @@ func (m *Medium) prepare(tx *transmission) {
 		p.chanGen[ch-lo] = m.chanGen[ch]
 	}
 	p.overlapsN = len(tx.overlaps)
-	p.cand = m.gatherInto(p.cand[:0], tx)
+	overlaps := tx.overlaps[:p.overlapsN]
+	p.capture.reset(p.overlapsN)
+	p.cand, p.candSet = m.gatherInto(p.cand[:0], p.candSet, tx)
 	if cap(p.rx) < len(p.cand) {
 		p.rx = make([]prepRx, len(p.cand))
 	}
@@ -93,7 +99,7 @@ func (m *Medium) prepare(tx *transmission) {
 		r.floor = snr+rej < decodeFloorSNRDB
 		r.collided = false
 		if !r.floor {
-			r.collided = m.overlapCollides(tx.overlaps[:p.overlapsN], rx, rssi)
+			r.collided = m.overlapCollides(tx, overlaps, 0, rx, rssi, &p.capture)
 		}
 	}
 	p.prepared = true

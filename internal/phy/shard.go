@@ -2,7 +2,7 @@ package phy
 
 import (
 	"math"
-	"sort"
+	"math/bits"
 )
 
 // This file is the spatial/channel index behind the medium: one shard per
@@ -13,11 +13,10 @@ import (
 // the maximum decode range — so delivery cost scales with the interference
 // neighborhood, not the world size.
 //
-// Determinism (DESIGN.md §13): shard iteration is always in ascending
-// channel order, grid-cell scans walk a fixed row-major rectangle, and the
-// gathered candidates are sorted by each radio's global insertion index
-// before any RNG-consuming evaluation. The result is the exact radio order
-// the pre-shard medium used (global attach order), restricted to a set that
+// Determinism (DESIGN.md §13): the gather marks every candidate in a bitset
+// over the global insertion index (Radio.idx) and then walks the set bits
+// upward, so candidates come out in the exact radio order the pre-shard
+// medium used (global attach order) without a comparison sort. The set
 // provably contains every radio the loss model would roll dice for — which
 // is why the pinned chaos digests survive the refactor byte-identical.
 
@@ -55,8 +54,11 @@ type gridKey struct{ cx, cy int32 }
 // grid, and the transmissions on air on this channel.
 type mediumShard struct {
 	radios []*Radio
-	grid   map[gridKey][]*Radio
-	active []*transmission
+	// members is the membership bitset over the global Radio.idx: bit i is
+	// set iff radio i is tuned to this channel.
+	members []uint64
+	grid    map[gridKey][]*Radio
+	active  []*transmission
 }
 
 // shard returns the partition for a channel (caller guarantees validity).
@@ -100,6 +102,11 @@ func (m *Medium) cellOf(p Position) gridKey {
 func (s *mediumShard) insert(r *Radio, key gridKey) {
 	r.shardIdx = len(s.radios)
 	s.radios = append(s.radios, r)
+	w := r.idx >> 6
+	for len(s.members) <= w {
+		s.members = append(s.members, 0)
+	}
+	s.members[w] |= 1 << (r.idx & 63)
 	if s.grid == nil {
 		s.grid = make(map[gridKey][]*Radio)
 	}
@@ -110,8 +117,9 @@ func (s *mediumShard) insert(r *Radio, key gridKey) {
 }
 
 // remove detaches r from the shard via swap-remove. Membership order is not
-// observable — candidates are re-sorted by global index before delivery.
+// observable — the gather orders candidates by global index.
 func (s *mediumShard) remove(r *Radio) {
+	s.members[r.idx>>6] &^= 1 << (r.idx & 63)
 	last := len(s.radios) - 1
 	moved := s.radios[last]
 	s.radios[r.shardIdx] = moved
@@ -135,53 +143,73 @@ func (s *mediumShard) removeFromCell(r *Radio) {
 }
 
 // gatherCandidates collects every radio that could decode (or, with
-// shadowing, would draw for) tx into the delivery loop's scratch buffer.
+// shadowing, would draw for) tx into the delivery loop's scratch buffers.
 func (m *Medium) gatherCandidates(tx *transmission) []*Radio {
-	m.cand = m.gatherInto(m.cand[:0], tx)
+	m.cand, m.candSet = m.gatherInto(m.cand[:0], m.candSet, tx)
 	return m.cand
 }
 
 // gatherInto appends tx's candidates to cand, in ascending global attach
-// order — the exact iteration order of the pre-shard medium. It only reads
-// the shard index, so prepare hooks may call it concurrently as long as each
-// passes its own destination buffer.
-func (m *Medium) gatherInto(cand []*Radio, tx *transmission) []*Radio {
-	lo, hi := channelNeighborhood(tx.channel)
-	if !m.spatial {
-		// Shadowing mode: reception at any distance is a draw, so every
-		// radio in the channel neighborhood participates.
-		for ch := lo; ch <= hi; ch++ {
-			cand = append(cand, m.shards[ch].radios...)
-		}
-	} else {
+// order — the exact iteration order of the pre-shard medium. set is the
+// caller's scratch bitset over Radio.idx: all zero on entry, all zero again
+// on return, grown here when radios were attached since its last use. Every
+// candidate is marked in it, and walking the set bits upward yields the
+// order with no comparison sort. gatherInto only reads the shard index, so
+// prepare hooks may call it concurrently as long as each passes its own
+// buffers.
+func (m *Medium) gatherInto(cand []*Radio, set []uint64, tx *transmission) ([]*Radio, []uint64) {
+	if nw := (len(m.radios) + 63) >> 6; len(set) < nw {
+		set = make([]uint64, nw)
+	}
+	// Shadowing mode probes no cells: reception at any distance is a draw,
+	// so every radio in the channel neighborhood participates.
+	cells := int64(math.MaxInt64)
+	var cx0, cx1, cy0, cy1 int32
+	if m.spatial {
 		rad := m.maxDecodeRange(tx.powerDBm)
 		p := tx.src.pos
-		cx0 := int32(math.Floor((p.X - rad) / m.cellSize))
-		cx1 := int32(math.Floor((p.X + rad) / m.cellSize))
-		cy0 := int32(math.Floor((p.Y - rad) / m.cellSize))
-		cy1 := int32(math.Floor((p.Y + rad) / m.cellSize))
-		cells := int64(cx1-cx0+1) * int64(cy1-cy0+1)
-		for ch := lo; ch <= hi; ch++ {
-			s := &m.shards[ch]
-			if len(s.radios) == 0 {
-				continue
+		cx0 = int32(math.Floor((p.X - rad) / m.cellSize))
+		cx1 = int32(math.Floor((p.X + rad) / m.cellSize))
+		cy0 = int32(math.Floor((p.Y - rad) / m.cellSize))
+		cy1 = int32(math.Floor((p.Y + rad) / m.cellSize))
+		cells = int64(cx1-cx0+1) * int64(cy1-cy0+1)
+	}
+	lo, hi := channelNeighborhood(tx.channel)
+	for ch := lo; ch <= hi; ch++ {
+		s := &m.shards[ch]
+		if len(s.radios) == 0 {
+			continue
+		}
+		if int64(len(s.radios)) <= cells {
+			// Whole shard — shadowing mode, or a sparse shard, where ORing
+			// the member words beats probing more cells than it has radios.
+			// Safe either way: the decode floor, not the grid, is the exact
+			// filter.
+			for w, word := range s.members {
+				set[w] |= word
 			}
-			if int64(len(s.radios)) <= cells {
-				// Sparse shard: scanning the member list beats probing more
-				// cells than it has radios. Safe either way — the decode
-				// floor, not the grid, is the exact filter.
-				cand = append(cand, s.radios...)
-				continue
-			}
-			for cy := cy0; cy <= cy1; cy++ {
-				for cx := cx0; cx <= cx1; cx++ {
-					cand = append(cand, s.grid[gridKey{cx, cy}]...)
+			continue
+		}
+		for cy := cy0; cy <= cy1; cy++ {
+			for cx := cx0; cx <= cx1; cx++ {
+				for _, r := range s.grid[gridKey{cx, cy}] {
+					set[r.idx>>6] |= 1 << (r.idx & 63)
 				}
 			}
 		}
 	}
-	sort.Slice(cand, func(i, j int) bool { return cand[i].idx < cand[j].idx })
-	return cand
+	for w, word := range set {
+		if word == 0 {
+			continue
+		}
+		set[w] = 0
+		base := w << 6
+		for word != 0 {
+			cand = append(cand, m.radios[base+bits.TrailingZeros64(word)])
+			word &= word - 1
+		}
+	}
+	return cand, set
 }
 
 // EnergyDBm reports the strongest energy the radio currently senses on its
