@@ -18,10 +18,9 @@ bench:
 
 # bench-check mirrors the CI bench-regression gate: fails on a >25% ns/op or
 # allocs/op regression of any gated benchmark (E1–E15, the campus-world
-# serial and parallel benches, the sharded-broadcast benches, the sim kernel
-# events/sec and soak benches, the per-layer marshal micro-benches) vs the
-# committed BENCH_PR10.json — and, on 4+-CPU hosts, on the windowed kernel's
-# campus speedup falling below 2x.
+# bench, the sharded-broadcast benches, the sim kernel events/sec and soak
+# benches, the per-layer marshal micro-benches) vs the committed
+# BENCH_PR10.json.
 bench-check:
 	sh scripts/bench_check.sh
 

@@ -258,38 +258,3 @@ func BenchmarkCampusWorld(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 	b.ReportMetric(float64(b.N)*2/b.Elapsed().Seconds(), "simsec/wallsec")
 }
-
-// BenchmarkCampusWorldParallel — the same 64-AP/1024-station world on the
-// conservative-window kernel (DESIGN.md §14) at 1 and 4 prepare lanes,
-// timing two simulated seconds of STEADY STATE: construction and the
-// join/scan opening (six untimed seconds — joins stagger over two, the scan
-// ladder a few more) are excluded, because scan retunes invalidate in-flight
-// prepares and would measure the staleness path, not the parallel kernel.
-// The workers=4 over workers=1 simsec/wallsec ratio is the parallel speedup
-// scripts/bench_check.sh gates on multi-core hosts. Digests are
-// byte-identical across all variants — that is the windowed kernel's
-// contract, enforced by the digest-stability tests, so this bench only has
-// to measure.
-func BenchmarkCampusWorldParallel(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				w := core.NewCampusWorld(core.CampusConfig{
-					Seed:    1,
-					Rogue:   true,
-					Workers: workers,
-					Topology: core.TopologyConfig{
-						Kind: core.TopoCampus, Seed: 1, APs: 64, STAs: 1024,
-					},
-				})
-				w.Run(6 * sim.Second)
-				b.StartTimer()
-				events += w.Kernel.RunFor(2 * sim.Second)
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-			b.ReportMetric(float64(b.N)*2/b.Elapsed().Seconds(), "simsec/wallsec")
-		})
-	}
-}

@@ -11,7 +11,7 @@
 //	go run ./cmd/roguesim -scenario chaos-relay
 //	go run ./cmd/roguesim -scenario mesh -faults relay-drop
 //	go run ./cmd/roguesim -scenario healthy -faults "deauth@5s+10s(interval=100ms)"
-//	go run ./cmd/roguesim -scenario campus-rogue -workers 4 -digest
+//	go run ./cmd/roguesim -scenario campus-rogue -digest
 //	go run ./cmd/roguesim -faults list
 //
 // The scenarios themselves live in internal/core (RunScenario), where the
@@ -35,8 +35,6 @@ func main() {
 	digest := flag.Bool("digest", false, "print the trace digest after the run")
 	schedule := flag.String("faults", "",
 		"fault schedule: a builtin name, a raw schedule string, or \"list\" to enumerate builtins")
-	workers := flag.Int("workers", 0,
-		"kernel prepare lanes: 0 (default) runs the classic serial event loop; N>=1 enables the\nconservative-window parallel kernel — same trace digest, more cores on delivery math")
 	flag.Parse()
 
 	if *schedule == "list" {
@@ -54,7 +52,7 @@ func main() {
 	}
 
 	o, err := core.RunScenarioOpts(*scenario, *seed, core.ScenarioOpts{
-		Checks: *check, Faults: *schedule, Workers: *workers,
+		Checks: *check, Faults: *schedule,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

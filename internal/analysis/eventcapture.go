@@ -12,8 +12,8 @@ import (
 )
 
 // EventcaptureAnalyzer polices closures handed to the kernel scheduler
-// (Kernel.At / Kernel.After). Two rules, both distilled from the stale-event
-// bugs fixed in internal/vpn/client.go:
+// (Kernel.At, After, Schedule and ScheduleAfter). Two rules, both distilled
+// from the stale-event bugs fixed in internal/vpn/client.go:
 //
 //  1. A scheduled closure must not capture a loop variable. The event may
 //     fire long after the loop has moved on; the contract requires the
@@ -59,11 +59,9 @@ func runEventcapture(pass *analysis.Pass) (any, error) {
 }
 
 // isKernelSchedule reports whether call invokes one of the scheduling entry
-// points (At, After, Schedule, ScheduleAfter, SchedulePrep) on a value of a
-// named type called Kernel. The pooled handle-less variants are covered too:
-// a stale closure is just as stale when its Event struct is recycled.
-// (ScheduleBatch closures sit inside composite literals rather than call
-// arguments and are not yet covered.)
+// points (At, After, Schedule, ScheduleAfter) on a value of a named type
+// called Kernel. The pooled handle-less variants are covered too: a stale
+// closure is just as stale when its Event struct is recycled.
 func isKernelSchedule(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -74,7 +72,7 @@ func isKernelSchedule(pass *analysis.Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "At", "After", "Schedule", "ScheduleAfter", "SchedulePrep":
+	case "At", "After", "Schedule", "ScheduleAfter":
 	default:
 		return false
 	}

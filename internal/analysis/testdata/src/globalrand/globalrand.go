@@ -8,10 +8,10 @@ import (
 )
 
 func bad() {
-	_ = rand.Intn(6)                    // want `math/rand\.Intn draws from the shared process-global source`
-	_ = rand.Float64()                  // want `math/rand\.Float64 draws from the shared process-global source`
-	rand.Shuffle(3, func(i, j int) {})  // want `math/rand\.Shuffle draws from the shared process-global source`
-	_, _ = crand.Read(make([]byte, 8))  // the import line above carries the diagnostic
+	_ = rand.Intn(6)                   // want `math/rand\.Intn draws from the shared process-global source`
+	_ = rand.Float64()                 // want `math/rand\.Float64 draws from the shared process-global source`
+	rand.Shuffle(3, func(i, j int) {}) // want `math/rand\.Shuffle draws from the shared process-global source`
+	_, _ = crand.Read(make([]byte, 8)) // the import line above carries the diagnostic
 }
 
 func good() int {

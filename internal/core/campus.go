@@ -36,10 +36,6 @@ type CampusConfig struct {
 	Seed uint64
 	// Checks enables kernel invariant checking.
 	Checks bool
-	// Workers selects the kernel execution mode (sim.Kernel.SetWorkers):
-	// 0 is the classic serial loop, n >= 1 the conservative-window loop
-	// with n prepare lanes. Digests are byte-identical either way.
-	Workers int
 
 	// Rogue plants a high-power AP cloning CampusSSID beside AP 0's
 	// cluster; stations that hear it louder than their home AP join it.
@@ -95,7 +91,6 @@ func NewCampusWorld(cfg CampusConfig) *CampusWorld {
 	w := &CampusWorld{Cfg: cfg, Topo: topo}
 	w.Kernel = sim.NewKernel(cfg.Seed)
 	w.Kernel.SetInvariantChecks(cfg.Checks)
-	w.Kernel.SetWorkers(cfg.Workers)
 	w.Medium = phy.NewMedium(w.Kernel, phy.Config{})
 	w.rng = w.Kernel.RNG().Fork()
 	w.APFrames = make([]uint64, len(topo.APs))
@@ -129,13 +124,9 @@ func NewCampusWorld(cfg CampusConfig) *CampusWorld {
 		w.Rogue.HostNIC().SetReceiver(func(f ethernet.Frame) { w.RogueFrames++ })
 	}
 
-	// The join/traffic fan-out is the construction hot path at E15 scale:
-	// two events per station, all landing in the first few seconds. One
-	// ScheduleBatch amortizes the wheel's slot lookups across stations
-	// sharing a tick; entry order (Connect, then traffic tick, per station
-	// in placement order) matches the sequential Schedule calls it
-	// replaces, so event seqs — and the digest — are unchanged.
-	entries := make([]sim.BatchEntry, 0, 2*len(topo.STAs))
+	// Each station's join, then its traffic kickoff, in placement order.
+	// NewSTA and AddRadio schedule nothing, so these are the only events
+	// construction queues and their seqs follow station order.
 	for i, p := range topo.STAs {
 		radio := w.Medium.AddRadio(phy.RadioConfig{Name: p.Name, Pos: p.Pos, Channel: 1})
 		sta := dot11.NewSTA(w.Kernel, radio, dot11.STAConfig{
@@ -143,10 +134,9 @@ func NewCampusWorld(cfg CampusConfig) *CampusWorld {
 		})
 		w.STAs = append(w.STAs, sta)
 		w.staRadios = append(w.staRadios, radio)
-		entries = append(entries, sim.BatchEntry{When: p.JoinAt, Fn: sta.Connect})
-		entries = w.appendTraffic(entries, i, sta, p)
+		w.Kernel.Schedule(p.JoinAt, sta.Connect)
+		w.scheduleTraffic(i, sta, p)
 	}
-	w.Kernel.ScheduleBatch(entries)
 
 	if cfg.Faults != "" {
 		w.installFaults()
@@ -154,14 +144,14 @@ func NewCampusWorld(cfg CampusConfig) *CampusWorld {
 	return w
 }
 
-// appendTraffic appends the station's offered-load kickoff to the
-// construction batch: nothing for idle, one 256-byte frame per ~second for
-// light, a 4-frame 512-byte burst per ~two seconds for bursty. Frames go to
-// the joined BSSID (whoever that turned out to be — traffic into a rogue is
-// exactly what it harvests), and burst frames are paced 2 ms apart so a
-// station never collides with itself. The jitter draw happens here, at
-// construction, in station order — part of the seed's draw sequence.
-func (w *CampusWorld) appendTraffic(entries []sim.BatchEntry, i int, sta *dot11.STA, p STAPlacement) []sim.BatchEntry {
+// scheduleTraffic schedules the station's offered-load kickoff: nothing for
+// idle, one 256-byte frame per ~second for light, a 4-frame 512-byte burst
+// per ~two seconds for bursty. Frames go to the joined BSSID (whoever that
+// turned out to be — traffic into a rogue is exactly what it harvests), and
+// burst frames are paced 2 ms apart so a station never collides with
+// itself. The jitter draw happens here, at construction, in station order —
+// part of the seed's draw sequence.
+func (w *CampusWorld) scheduleTraffic(i int, sta *dot11.STA, p STAPlacement) {
 	var interval sim.Time
 	var frames, size int
 	switch p.Traffic {
@@ -170,7 +160,7 @@ func (w *CampusWorld) appendTraffic(entries []sim.BatchEntry, i int, sta *dot11.
 	case TrafficBursty:
 		interval, frames, size = 2*sim.Second, 4, 512
 	default:
-		return entries
+		return
 	}
 	payload := make([]byte, size)
 	binary.BigEndian.PutUint32(payload, uint32(i))
@@ -191,7 +181,7 @@ func (w *CampusWorld) appendTraffic(entries []sim.BatchEntry, i int, sta *dot11.
 		}
 		w.Kernel.ScheduleAfter(interval+w.rng.Jitter(interval/2), tick)
 	}
-	return append(entries, sim.BatchEntry{When: p.JoinAt + interval/2 + w.rng.Jitter(interval), Fn: tick})
+	w.Kernel.Schedule(p.JoinAt+interval/2+w.rng.Jitter(interval), tick)
 }
 
 // installFaults arms the chaos engine against the campus: station 0 is the
@@ -287,11 +277,10 @@ const campusScenarioDuration = 12 * sim.Second
 // runCampusScenario drives the campus and campus-rogue scenarios.
 func runCampusScenario(name string, seed uint64, opts ScenarioOpts) *ScenarioOutcome {
 	cfg := CampusConfig{
-		Seed:    seed,
-		Checks:  opts.Checks,
-		Workers: opts.Workers,
-		Rogue:   name == "campus-rogue",
-		Faults:  opts.Faults,
+		Seed:   seed,
+		Checks: opts.Checks,
+		Rogue:  name == "campus-rogue",
+		Faults: opts.Faults,
 		Topology: TopologyConfig{
 			Kind: TopoCampus, Seed: seed,
 			APs: campusScenarioAPs, STAs: campusScenarioSTAs,

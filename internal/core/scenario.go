@@ -138,10 +138,6 @@ type ScenarioOpts struct {
 	// Faults, when non-empty, is a fault schedule (builtin name or raw
 	// string) overriding whatever the scenario configures itself.
 	Faults string
-	// Workers selects the kernel execution mode: 0 (the default) is the
-	// classic serial loop, n >= 1 the conservative-window parallel loop.
-	// Digests are byte-identical either way.
-	Workers int
 }
 
 // RunScenario executes a named scenario to completion. checks enables
@@ -171,7 +167,6 @@ func RunScenarioOpts(name string, seed uint64, opts ScenarioOpts) (*ScenarioOutc
 		return nil, err
 	}
 	cfg.Checks = opts.Checks
-	cfg.Workers = opts.Workers
 	if opts.Faults != "" {
 		cfg.Faults = opts.Faults
 	}

@@ -63,12 +63,6 @@ type Config struct {
 	// exposes it as -check.
 	Checks bool
 
-	// Workers selects the kernel execution mode (sim.Kernel.SetWorkers):
-	// 0 — the default — is the classic serial event loop; n >= 1 enables
-	// the conservative-window loop with n prepare lanes. Digests are
-	// byte-identical either way; cmd/roguesim exposes it as -workers.
-	Workers int
-
 	// WEPKey protects the wireless network when set ("SECRET" in Fig. 1).
 	WEPKey wep.Key
 	// MACFilter restricts the real AP to the victim's (and, if cloned,
@@ -222,7 +216,6 @@ func NewWorld(cfg Config) *World {
 	w := &World{Cfg: cfg}
 	w.Kernel = sim.NewKernel(cfg.Seed)
 	w.Kernel.SetInvariantChecks(cfg.Checks)
-	w.Kernel.SetWorkers(cfg.Workers)
 	w.Medium = phy.NewMedium(w.Kernel, phy.Config{ShadowingSigmaDB: cfg.ShadowingSigmaDB})
 
 	w.CorpSwitch = ethernet.NewSwitch(w.Kernel, &w.Alloc, ethernet.SwitchConfig{})

@@ -35,18 +35,6 @@ func e15Sizes(quick bool) []e15Size {
 	return sizes
 }
 
-// e15Workers picks the kernel mode per rung: the 16384-station world runs on
-// the conservative-window kernel (4 prepare lanes) because it dominates the
-// sweep's tail when worlds outnumber cores only barely. Digests — and hence
-// the table — are byte-identical either way (DESIGN.md §14); this is purely
-// a wall-clock choice.
-func e15Workers(stas int) int {
-	if stas >= 16384 {
-		return 4
-	}
-	return 0
-}
-
 // E15CampusScale: association, rogue capture, and medium throughput at
 // campus scale.
 func E15CampusScale(s Scale) Table {
@@ -73,9 +61,8 @@ func E15CampusScale(s Scale) Table {
 	}
 	results := core.Sweep(points, func(p point) core.CampusResult {
 		w := core.NewCampusWorld(core.CampusConfig{
-			Seed:    p.seed,
-			Rogue:   true,
-			Workers: e15Workers(p.stas),
+			Seed:  p.seed,
+			Rogue: true,
 			Topology: core.TopologyConfig{
 				Kind: core.TopoCampus, Seed: p.seed,
 				APs: p.aps, STAs: p.stas,

@@ -97,16 +97,8 @@ func (e *Engine) Install(s Schedule) error {
 	// etc.). Forked lazily here so fault-free worlds draw nothing extra.
 	e.rng = e.kernel.RNG().Fork()
 	e.sched = s
-	// All apply/revert events go in as one batch: none of the lazy
-	// constructors above the loop schedule anything, so the batch's entry
-	// order is exactly the Schedule-call order it replaces and the event
-	// seqs (hence digests) are unchanged. Storm schedules put hundreds of
-	// occurrences on neighboring ticks; the batch amortizes slot lookups.
-	nOcc := 0
-	for _, inj := range s {
-		nOcc += inj.Count
-	}
-	entries := make([]sim.BatchEntry, 0, 2*nOcc)
+	// The lazy constructors below schedule nothing, so each occurrence's
+	// apply/revert pair takes the next two event seqs in schedule order.
 	for _, inj := range s {
 		if e.needsWireFault(inj.Kind) && e.wireFault == nil {
 			e.installWireFault()
@@ -122,12 +114,10 @@ func (e *Engine) Install(s Schedule) error {
 		for occ := 0; occ < inj.Count; occ++ {
 			inj := inj
 			start := inj.At + sim.Time(occ)*inj.Period
-			entries = append(entries,
-				sim.BatchEntry{When: start, Fn: func() { e.apply(inj) }},
-				sim.BatchEntry{When: start + inj.Duration, Fn: func() { e.revert(inj) }})
+			e.kernel.Schedule(start, func() { e.apply(inj) })
+			e.kernel.Schedule(start+inj.Duration, func() { e.revert(inj) })
 		}
 	}
-	e.kernel.ScheduleBatch(entries)
 	return nil
 }
 

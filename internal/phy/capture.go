@@ -39,8 +39,7 @@ const captureSlots = int(MaxChannel) + 1
 
 // captureScratch memoizes one completion's ratio-domain threshold factors:
 // fac[i*captureSlots+c] belongs to overlap i heard on channel c, and 0 means
-// not yet computed. Each caller owns one — the Medium for the serial path
-// and the commit-time suffix fold, each txPrep for its prepare hook.
+// not yet computed. The Medium owns one and resets it per completion.
 type captureScratch struct {
 	fac []float64
 }
@@ -79,17 +78,13 @@ func dist2(a, b Position) float64 {
 	return 1
 }
 
-// overlapCollides reports whether any of overlaps[from:] is loud enough at rx
-// to defeat capture of tx's frame received at rssi; overlaps is a prefix of
-// tx.overlaps, so index i keys both. No RNG, no counters — the same pure
-// predicate serves the serial path, the prepare hook (prefix) and the
-// commit-time fold (suffix), each with its own scratch. The early return
-// is sound for the same reason the prefix/suffix split is: only the OR is
-// observable.
-func (m *Medium) overlapCollides(tx *transmission, overlaps []*transmission, from int, rx *Radio, rssi float64, sc *captureScratch) bool {
+// overlapCollides reports whether any of tx.overlaps is loud enough at rx to
+// defeat capture of tx's frame received at rssi, memoizing threshold factors
+// in m.capture (reset for tx's overlaps by the caller). No RNG, no counters;
+// the early return is sound because only the OR is observable.
+func (m *Medium) overlapCollides(tx *transmission, rx *Radio, rssi float64) bool {
 	dtx2 := 0.0 // clamped squared tx→rx distance, computed on first use
-	for i := from; i < len(overlaps); i++ {
-		o := overlaps[i]
+	for i, o := range tx.overlaps {
 		orej := channelRejectionDB(o.channel, rx.channel)
 		if math.IsInf(orej, 1) {
 			continue
@@ -103,7 +98,7 @@ func (m *Medium) overlapCollides(tx *transmission, overlaps []*transmission, fro
 		if dtx2 == 0 {
 			dtx2 = dist2(tx.src.pos, rx.pos)
 		}
-		t := dtx2 * sc.factor(m, tx, o, i, rx.channel, orej)
+		t := dtx2 * m.capture.factor(m, tx, o, i, rx.channel, orej)
 		if d := dist2(o.src.pos, rx.pos) - t; math.Abs(d) > captureGuard*t {
 			if d < 0 {
 				return true

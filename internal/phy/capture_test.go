@@ -38,9 +38,9 @@ func candidateRSSI(m *Medium, tx *transmission, rx *Radio) (float64, bool) {
 // dB oracle over random worlds: mixed channels and transmit powers, radios
 // clustered within a metre of each other (both distances clamped), several
 // path-loss exponents, and shadowed mediums, where the predicate must stay
-// in the dB domain. One capture scratch serves each transmission's whole
-// candidate list, as in a completion, so cached factors are reused across
-// receivers on the same channel.
+// in the dB domain. The medium's capture scratch is reset once per
+// transmission and serves its whole candidate list, as in a completion, so
+// cached factors are reused across receivers on the same channel.
 func TestOverlapCollidesMatchesDB(t *testing.T) {
 	powers := []float64{-5, 0, 15, 21, 30}
 	var checks, collided int
@@ -66,19 +66,18 @@ func TestOverlapCollidesMatchesDB(t *testing.T) {
 				src := radios[rng.Intn(len(radios))]
 				return &transmission{src: src, channel: src.channel, powerDBm: powers[rng.Intn(len(powers))]}
 			}
-			var sc captureScratch
 			for round := 0; round < 50; round++ {
 				tx := newTx()
 				for n := 1 + rng.Intn(6); n > 0; n-- {
 					tx.overlaps = append(tx.overlaps, newTx())
 				}
-				sc.reset(len(tx.overlaps))
+				m.capture.reset(len(tx.overlaps))
 				for _, rx := range radios {
 					rssi, ok := candidateRSSI(m, tx, rx)
 					if rx == tx.src || !ok {
 						continue
 					}
-					got := m.overlapCollides(tx, tx.overlaps, 0, rx, rssi, &sc)
+					got := m.overlapCollides(tx, rx, rssi)
 					if want := refOverlapCollides(m, tx.overlaps, rx, rssi); got != want {
 						t.Fatalf("seed %d sigma %v round %d rx %d: ratio test %v, dB oracle %v", seed, sigma, round, rx.idx, got, want)
 					}
@@ -123,14 +122,13 @@ func runCaptureCase(c captureCase) (got, want, band, ok bool) {
 	if !isCand || math.IsInf(orej, 1) {
 		return false, false, false, false
 	}
-	var sc captureScratch
-	sc.reset(1)
-	t := dist2(c.tx, c.rx) * sc.factor(m, tx, o, 0, c.rxCh, orej)
+	m.capture.reset(1)
+	t := dist2(c.tx, c.rx) * m.capture.factor(m, tx, o, 0, c.rxCh, orej)
 	if c.placeAtThreshold {
 		osrc.pos = Position{X: c.rx.X + math.Sqrt(t*(1+c.thresholdRelOffset)), Y: c.rx.Y}
 	}
 	band = !(math.Abs(dist2(osrc.pos, c.rx)-t) > captureGuard*t)
-	got = m.overlapCollides(tx, tx.overlaps, 0, rx, rssi, &sc)
+	got = m.overlapCollides(tx, rx, rssi)
 	want = refOverlapCollides(m, tx.overlaps, rx, rssi)
 	return got, want, band, true
 }

@@ -93,14 +93,13 @@ func sameRadios(a, b []*Radio) bool {
 
 // TestGatherMatchesSortedReference drives random seeded sequences of
 // attaches, retunes, moves, sends and kernel advances, and after every send
-// compares the bitset gather — on the serial buffers and through the
-// prepare hook — with the sort-based oracle. Channels lean on the 1/6/11
+// compares the bitset gather with the sort-based oracle. Channels lean on the 1/6/11
 // plan so some shards outgrow the probed rectangle (grid branch) while
 // others stay sparse (member-bitset OR); a share of radios transmit 6 dB
 // hot, as a rogue does, which widens the rectangle; shadowing mode ORs in
 // the whole neighborhood.
 func TestGatherMatchesSortedReference(t *testing.T) {
-	var sends, sparseHits, gridHits, hotSends, prepares int
+	var sends, sparseHits, gridHits, hotSends int
 	for seed := uint64(1); seed <= 12; seed++ {
 		for _, sigma := range []float64{0, 3} {
 			rng := sim.NewRNG(seed)
@@ -127,8 +126,7 @@ func TestGatherMatchesSortedReference(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				addRadio()
 			}
-			var ref, got []*Radio
-			var set []uint64
+			var ref []*Radio
 			for op := 0; op < 400; op++ {
 				radios := m.Radios()
 				r := radios[rng.Intn(len(radios))]
@@ -146,7 +144,7 @@ func TestGatherMatchesSortedReference(t *testing.T) {
 					active := m.shard(r.channel).active
 					tx := active[len(active)-1]
 					ref = refGatherInto(m, ref[:0], tx)
-					got, set = m.gatherInto(got[:0], set, tx)
+					got := m.gatherCandidates(tx)
 					if !sameRadios(got, ref) {
 						t.Fatalf("seed %d sigma %v op %d: gather %d candidates, oracle %d", seed, sigma, op, len(got), len(ref))
 					}
@@ -162,20 +160,15 @@ func TestGatherMatchesSortedReference(t *testing.T) {
 						if gr {
 							gridHits++
 						}
-						m.prepare(tx)
-						if !tx.prep.prepared || !sameRadios(tx.prep.cand, ref) {
-							t.Fatalf("seed %d op %d: prepared gather differs from the oracle", seed, op)
-						}
-						prepares++
 					}
 				}
 			}
 			k.Run()
 		}
 	}
-	t.Logf("%d sends: %d sparse, %d grid, %d hot, %d prepares", sends, sparseHits, gridHits, hotSends, prepares)
-	if sparseHits == 0 || gridHits == 0 || hotSends == 0 || prepares == 0 {
-		t.Fatalf("weak coverage: %d sends, %d sparse, %d grid, %d hot, %d prepares",
-			sends, sparseHits, gridHits, hotSends, prepares)
+	t.Logf("%d sends: %d sparse, %d grid, %d hot", sends, sparseHits, gridHits, hotSends)
+	if sparseHits == 0 || gridHits == 0 || hotSends == 0 {
+		t.Fatalf("weak coverage: %d sends, %d sparse, %d grid, %d hot",
+			sends, sparseHits, gridHits, hotSends)
 	}
 }

@@ -164,20 +164,11 @@ type Medium struct {
 	// the pre-shard O(radios) medium. Only in-package tests set it, as the
 	// differential oracle and the sharded-vs-unsharded benchmark floor.
 	flatScan bool
-	// cand/candSet/capture are the serial delivery loop's scratch: the
-	// candidate list, the bitset that orders it, and the capture-factor
-	// table. Prepare hooks never touch them — each transmission's txPrep
-	// owns its own.
+	// cand/candSet/capture are the delivery loop's scratch: the candidate
+	// list, the bitset that orders it, and the capture-factor table.
 	cand    []*Radio
 	candSet []uint64
 	capture captureScratch
-
-	// posGen/chanGen are staleness stamps for speculative delivery prepares
-	// (prepare.go): any SetPosition bumps posGen; attaching or retuning a
-	// radio bumps the affected channels' chanGen. A prepared result commits
-	// only if every stamp its computation could have read is unchanged.
-	posGen  uint64
-	chanGen [MaxChannel + 1]uint64
 
 	// burst, when non-nil, is the active Gilbert–Elliott fault state
 	// (internal/faults installs it). burstBad is the current chain state.
@@ -196,11 +187,6 @@ type Medium struct {
 	SNRDrops      uint64
 	Collisions    uint64
 	BurstDrops    uint64
-	// PrepCommits/PrepStale count completions that consumed a prepared
-	// delivery vs. recomputed serially (stale stamps, or a serial kernel
-	// where the hook never ran). Diagnostics only — not part of any digest.
-	PrepCommits uint64
-	PrepStale   uint64
 }
 
 type transmission struct {
@@ -222,13 +208,8 @@ type transmission struct {
 	pins int
 	done bool
 	// completeFn is the completion closure, bound once per struct so
-	// recycled transmissions do not re-allocate it; prepareFn is the
-	// speculative prepare hook handed to sim.SchedulePrep the same way.
+	// recycled transmissions do not re-allocate it.
 	completeFn func()
-	prepareFn  func()
-	// prep holds the speculatively precomputed delivery (prepare.go), valid
-	// only when prep.prepared and the generation stamps still match.
-	prep txPrep
 }
 
 // NewMedium creates an empty medium on the kernel.
@@ -237,10 +218,6 @@ func NewMedium(k *sim.Kernel, cfg Config) *Medium {
 	m := &Medium{kernel: k, cfg: cfg, rng: k.RNG().Fork()}
 	m.cellSize = m.maxDecodeRange(defaultTxPowerDBm)
 	m.spatial = cfg.ShadowingSigmaDB == 0
-	// The medium is the kernel's only source of preparable events, and every
-	// completion it schedules is at least one PLCP preamble away — the
-	// minimum airtime is the conservative lookahead (DESIGN.md §14).
-	k.SetLookahead(plcpOverhead)
 	return m
 }
 
@@ -385,7 +362,6 @@ func (m *Medium) AddRadio(cfg RadioConfig) *Radio {
 	r.idx = len(m.radios)
 	m.radios = append(m.radios, r)
 	m.shard(r.channel).insert(r, m.cellOf(r.pos))
-	m.chanGen[r.channel]++
 	return r
 }
 
@@ -399,7 +375,6 @@ func (r *Radio) Position() Position { return r.pos }
 // cells when it crosses a cell boundary.
 func (r *Radio) SetPosition(p Position) {
 	r.pos = p
-	r.medium.posGen++
 	s := r.medium.shard(r.channel)
 	if key := r.medium.cellOf(p); key != r.cell {
 		s.removeFromCell(r)
@@ -422,8 +397,6 @@ func (r *Radio) SetChannel(c Channel) {
 	if c == r.channel {
 		return
 	}
-	r.medium.chanGen[r.channel]++
-	r.medium.chanGen[c]++
 	r.medium.shard(r.channel).remove(r)
 	r.channel = c
 	r.medium.shard(c).insert(r, r.cell)
@@ -512,30 +485,21 @@ func (r *Radio) SendBuf(pb *pkt.Buf, rate Rate) sim.Time {
 	}
 	s := m.shard(r.channel)
 	s.active = append(s.active, tx)
-	if m.spatial {
-		// The completion is preparable: under a windowed kernel its
-		// candidate gather and SNR/interference math run ahead of time on a
-		// prepare lane (prepare.go). On a serial kernel the hook is ignored.
-		m.kernel.SchedulePrep(end, tx.completeFn, tx.prepareFn)
-	} else {
-		m.kernel.Schedule(end, tx.completeFn)
-	}
+	m.kernel.Schedule(end, tx.completeFn)
 	return end
 }
 
 // getTx pops a recycled transmission or allocates a fresh one, binding its
-// completion and prepare closures exactly once.
+// completion closure exactly once.
 func (m *Medium) getTx() *transmission {
 	if n := len(m.freeTx); n > 0 {
 		tx := m.freeTx[n-1]
 		m.freeTx = m.freeTx[:n-1]
 		tx.pins, tx.done = 0, false
-		tx.prep.prepared = false
 		return tx
 	}
 	tx := &transmission{}
 	tx.completeFn = func() { m.complete(tx) }
-	tx.prepareFn = func() { m.prepare(tx) }
 	return tx
 }
 
@@ -561,7 +525,6 @@ func (m *Medium) complete(tx *transmission) {
 	defer tx.buf.Release()
 	defer m.retire(tx)
 	now := m.kernel.Now()
-	overlaps := tx.overlaps
 	s := m.shard(tx.channel)
 	kept := s.active[:0]
 	for _, t := range s.active {
@@ -580,72 +543,41 @@ func (m *Medium) complete(tx *transmission) {
 	}
 
 	// Candidate order is the global attach order in every mode — the RNG
-	// draw sequence per candidate is what the digest contract pins. A valid
-	// speculative prepare supplies the candidate list and the per-candidate
-	// deterministic math (same pure functions, same inputs — bit-identical);
-	// everything involving RNG, counters, the digest, or receiver callbacks
-	// happens here, serially, in either case.
-	var cand []*Radio
-	var prx []prepRx
-	switch {
-	case m.flatScan:
-		cand = m.radios
-	case m.prepValid(tx):
-		cand = tx.prep.cand
-		prx = tx.prep.rx
-		m.PrepCommits++
-	default:
+	// draw sequence per candidate is what the digest contract pins.
+	cand := m.radios
+	if !m.flatScan {
 		cand = m.gatherCandidates(tx)
-		m.PrepStale++
 	}
-	m.capture.reset(len(overlaps))
-	for i, rx := range cand {
+	m.capture.reset(len(tx.overlaps))
+	for _, rx := range cand {
 		// No-receiver radios (the fault jammer is the only kind) are skipped
 		// before any loss draw: there is nothing to deliver to, so burning
 		// RNG state on them would couple every receiver's loss pattern to
-		// the presence of deaf hardware. down/recv are live state, checked
-		// at commit time even on the prepared path.
+		// the presence of deaf hardware.
 		if rx == tx.src || rx.down || rx.recv == nil {
 			continue
 		}
-		var rssi, snr float64
-		var floor, collided bool
-		if prx != nil {
-			r := &prx[i]
-			rssi, snr, floor, collided = r.rssi, r.snr, r.floor, r.collided
-			if !floor && !collided {
-				// Overlaps registered after the prepare ran (the list is
-				// append-only until retire) fold in serially; collided is an
-				// order-insensitive OR, so prefix-then-suffix is exact.
-				collided = m.overlapCollides(tx, overlaps, tx.prep.overlapsN, rx, rssi, &m.capture)
-			}
-		} else {
-			rej := channelRejectionDB(tx.channel, rx.channel)
-			if math.IsInf(rej, 1) {
-				// Only reachable via the flatScan walk; the shard
-				// neighborhood never yields an orthogonal-channel radio.
-				continue
-			}
-			rssi = m.rxPowerDBm(tx.powerDBm, tx.src.pos, rx.pos) - rej
-			snr = rssi - m.cfg.NoiseFloorDBm
-			// Below the decode floor: deterministically lost, no RNG draw.
-			// The floor deliberately ignores channel rejection — it is the
-			// same pure distance/power cut maxDecodeRange solves for, which
-			// is what makes grid pruning sound AND keeps the draw sequence
-			// for every in-range radio identical to the pre-shard medium
-			// (a close radio on an adjacent channel still rolls its dice,
-			// exactly as before, however hopeless rejection makes them).
-			floor = m.spatial && snr+rej < decodeFloorSNRDB
-			if !floor {
-				collided = m.overlapCollides(tx, overlaps, 0, rx, rssi, &m.capture)
-			}
+		rej := channelRejectionDB(tx.channel, rx.channel)
+		if math.IsInf(rej, 1) {
+			// Only reachable via the flatScan walk; the shard
+			// neighborhood never yields an orthogonal-channel radio.
+			continue
 		}
-		if floor {
+		rssi := m.rxPowerDBm(tx.powerDBm, tx.src.pos, rx.pos) - rej
+		snr := rssi - m.cfg.NoiseFloorDBm
+		// Below the decode floor: deterministically lost, no RNG draw.
+		// The floor deliberately ignores channel rejection — it is the
+		// same pure distance/power cut maxDecodeRange solves for, which
+		// is what makes grid pruning sound AND keeps the draw sequence
+		// for every in-range radio identical to the pre-shard medium
+		// (a close radio on an adjacent channel still rolls its dice,
+		// exactly as before, however hopeless rejection makes them).
+		if m.spatial && snr+rej < decodeFloorSNRDB {
 			rx.RxBelowSNR++
 			m.SNRDrops++
 			continue
 		}
-		if collided {
+		if m.overlapCollides(tx, rx, rssi) {
 			rx.RxCollisions++
 			m.Collisions++
 			continue

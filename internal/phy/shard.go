@@ -143,24 +143,16 @@ func (s *mediumShard) removeFromCell(r *Radio) {
 }
 
 // gatherCandidates collects every radio that could decode (or, with
-// shadowing, would draw for) tx into the delivery loop's scratch buffers.
+// shadowing, would draw for) tx into m.cand, in ascending global attach
+// order — the exact iteration order of the pre-shard medium. m.candSet is a
+// bitset over Radio.idx: all zero between calls, grown here when radios were
+// attached since its last use. Every candidate is marked in it, and walking
+// the set bits upward yields the order with no comparison sort.
 func (m *Medium) gatherCandidates(tx *transmission) []*Radio {
-	m.cand, m.candSet = m.gatherInto(m.cand[:0], m.candSet, tx)
-	return m.cand
-}
-
-// gatherInto appends tx's candidates to cand, in ascending global attach
-// order — the exact iteration order of the pre-shard medium. set is the
-// caller's scratch bitset over Radio.idx: all zero on entry, all zero again
-// on return, grown here when radios were attached since its last use. Every
-// candidate is marked in it, and walking the set bits upward yields the
-// order with no comparison sort. gatherInto only reads the shard index, so
-// prepare hooks may call it concurrently as long as each passes its own
-// buffers.
-func (m *Medium) gatherInto(cand []*Radio, set []uint64, tx *transmission) ([]*Radio, []uint64) {
-	if nw := (len(m.radios) + 63) >> 6; len(set) < nw {
-		set = make([]uint64, nw)
+	if nw := (len(m.radios) + 63) >> 6; len(m.candSet) < nw {
+		m.candSet = make([]uint64, nw)
 	}
+	cand, set := m.cand[:0], m.candSet
 	// Shadowing mode probes no cells: reception at any distance is a draw,
 	// so every radio in the channel neighborhood participates.
 	cells := int64(math.MaxInt64)
@@ -209,7 +201,8 @@ func (m *Medium) gatherInto(cand []*Radio, set []uint64, tx *transmission) ([]*R
 			word &= word - 1
 		}
 	}
-	return cand, set
+	m.cand = cand
+	return cand
 }
 
 // EnergyDBm reports the strongest energy the radio currently senses on its

@@ -3,7 +3,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"sync/atomic"
 	"testing"
 )
 
@@ -11,13 +10,10 @@ import (
 // binary-heap scheduler it replaced: the reference below is the original
 // container/heap event queue, kept verbatim in test code, and both schedulers
 // are driven through identical op scripts — At/After/Schedule/ScheduleAfter,
-// ScheduleBatch bulk inserts, cancel-while-queued, cancel-then-reschedule,
-// same-tick ties, run bursts — with events that spawn more events as they
-// fire. Identical fire order, fire times, and final clocks are required.
-// Each script runs three ways: the reference heap, the serial wheel, and the
-// conservative-window wheel (lanes.go) at 2 workers with prepare hooks on
-// every pooled event. FuzzSchedulerOps feeds the same driver with arbitrary
-// scripts.
+// cancel-while-queued, cancel-then-reschedule, same-tick ties, run bursts —
+// with events that spawn more events as they fire. Identical fire order, fire
+// times, and final clocks are required. FuzzSchedulerOps feeds the same
+// driver with arbitrary scripts.
 
 // refEvent/refQueue/refSched are the pre-wheel scheduler, verbatim: a
 // container/heap min-heap ordered by (when, seq) with lazy cancellation.
@@ -129,47 +125,26 @@ type scheduler interface {
 	Now() Time
 	At(t Time, fn func()) canceller
 	Schedule(t Time, fn func())
-	ScheduleBatch(entries []BatchEntry)
 	RunFor(d Time)
 	Run()
 }
 
-// wheelAdapter drives a Kernel. With prepped non-nil, Schedule routes through
-// SchedulePrep with a counting prepare hook, so windowed kernels exercise the
-// prepare collection/dispatch machinery on every pooled event.
-type wheelAdapter struct {
-	k       *Kernel
-	prepped *atomic.Int64
-}
+// wheelAdapter drives a Kernel.
+type wheelAdapter struct{ k *Kernel }
 
 func (w wheelAdapter) Now() Time                      { return w.k.Now() }
 func (w wheelAdapter) At(t Time, fn func()) canceller { return w.k.At(t, fn) }
-func (w wheelAdapter) Schedule(t Time, fn func()) {
-	if w.prepped != nil {
-		c := w.prepped
-		w.k.SchedulePrep(t, fn, func() { c.Add(1) })
-		return
-	}
-	w.k.Schedule(t, fn)
-}
-func (w wheelAdapter) ScheduleBatch(entries []BatchEntry) { w.k.ScheduleBatch(entries) }
-func (w wheelAdapter) RunFor(d Time)                      { w.k.RunFor(d) }
-func (w wheelAdapter) Run()                               { w.k.Run() }
+func (w wheelAdapter) Schedule(t Time, fn func())     { w.k.Schedule(t, fn) }
+func (w wheelAdapter) RunFor(d Time)                  { w.k.RunFor(d) }
+func (w wheelAdapter) Run()                           { w.k.Run() }
 
 type refAdapter struct{ r *refSched }
 
 func (a refAdapter) Now() Time                      { return a.r.now }
 func (a refAdapter) At(t Time, fn func()) canceller { return a.r.at(t, fn) }
 func (a refAdapter) Schedule(t Time, fn func())     { a.r.at(t, fn) }
-func (a refAdapter) ScheduleBatch(entries []BatchEntry) {
-	// The reference semantics of ScheduleBatch: one sequential insert per
-	// entry, in order.
-	for _, e := range entries {
-		a.r.at(e.When, e.Fn)
-	}
-}
-func (a refAdapter) RunFor(d Time) { a.r.runUntil(a.r.now + d) }
-func (a refAdapter) Run()          { a.r.run() }
+func (a refAdapter) RunFor(d Time)                  { a.r.runUntil(a.r.now + d) }
+func (a refAdapter) Run()                           { a.r.run() }
 
 // op is one decoded script entry.
 type op struct {
@@ -186,7 +161,6 @@ const (
 	opCancel
 	opReschedule
 	opRunFor
-	opScheduleBatch
 	opKinds
 )
 
@@ -277,57 +251,30 @@ func runScript(s scheduler, script []op) (log []fireRec, final Time) {
 			handles = append(handles, s.At(s.Now()+o.delay, newEvent()))
 		case opRunFor:
 			s.RunFor(o.delay)
-		case opScheduleBatch:
-			// A bulk insert of 2–9 entries whose deltas derive from the op
-			// argument alone, mixing same-time runs (the slot fast path) with
-			// scattered ticks; both schedulers decode identically.
-			n := 2 + int(o.arg)%8
-			entries := make([]BatchEntry, n)
-			h := splitmix64(uint64(o.arg))
-			for i := range entries {
-				extra := Time(h % uint64(128*Microsecond))
-				if h%3 == 0 {
-					extra = 0
-				}
-				entries[i] = BatchEntry{When: s.Now() + o.delay + extra, Fn: newEvent()}
-				h = splitmix64(h)
-			}
-			s.ScheduleBatch(entries)
 		}
 	}
 	s.Run()
 	return log, s.Now()
 }
 
-// diffSchedulers runs one script against the reference heap, the serial time
-// wheel, and the conservative-window wheel (2 workers, with every pooled
-// event carrying a prepare hook), and reports the first divergence, if any.
+// diffSchedulers runs one script against the reference heap and the time
+// wheel, and reports the first divergence, if any.
 func diffSchedulers(t testing.TB, script []op) {
 	t.Helper()
-	refLog, refEndT := runScript(refAdapter{&refSched{}}, script)
-	check := func(name string, log []fireRec, end Time) {
-		t.Helper()
-		if len(log) != len(refLog) {
-			t.Fatalf("%s fired %d events, reference heap fired %d", name, len(log), len(refLog))
-		}
-		for i := range log {
-			if log[i] != refLog[i] {
-				t.Fatalf("fire %d diverged: %s (id=%d at %v), reference (id=%d at %v)",
-					i, name, log[i].id, log[i].when, refLog[i].id, refLog[i].when)
-			}
-		}
-		if end != refEndT {
-			t.Fatalf("final clocks diverged: %s %v, reference %v", name, end, refEndT)
+	refLog, refEnd := runScript(refAdapter{&refSched{}}, script)
+	log, end := runScript(wheelAdapter{NewKernel(1)}, script)
+	if len(log) != len(refLog) {
+		t.Fatalf("wheel fired %d events, reference heap fired %d", len(log), len(refLog))
+	}
+	for i := range log {
+		if log[i] != refLog[i] {
+			t.Fatalf("fire %d diverged: wheel (id=%d at %v), reference (id=%d at %v)",
+				i, log[i].id, log[i].when, refLog[i].id, refLog[i].when)
 		}
 	}
-	wheelLog, wheelEnd := runScript(wheelAdapter{k: NewKernel(1)}, script)
-	check("wheel", wheelLog, wheelEnd)
-	pk := NewKernel(1)
-	pk.SetWorkers(2)
-	pk.SetLookahead(64 * Microsecond)
-	var prepped atomic.Int64
-	parLog, parEnd := runScript(wheelAdapter{k: pk, prepped: &prepped}, script)
-	check("windowed wheel", parLog, parEnd)
+	if end != refEnd {
+		t.Fatalf("final clocks diverged: wheel %v, reference %v", end, refEnd)
+	}
 }
 
 // TestDifferentialSchedulerRandomOps drives seeded randomized op scripts
@@ -391,13 +338,16 @@ func directedSchedulerCases() []struct {
 			opAt, 10, 0, 1, opAt, 0xe8, 3, 1, opRunFor, 0x64, 0, 1,
 			opSchedule, 10, 0, 1, opRunFor, 0x64, 0, 1, opAt, 1, 0, 2,
 		}},
-		// Bulk inserts: same-time runs on the slot fast path, at-now entries
-		// into the imminent heap, far entries into overflow, interleaved with
-		// singleton schedules and a run burst.
+		// Bulk fan-out, as campus construction and the fault engine make
+		// it: runs of Schedule calls landing on one future wheel tick, a
+		// retained-handle At and a later time inside the same tick, at-now
+		// and overflow entries in between, then more fan-out after a run
+		// burst has moved the clock.
 		{"bulk-fanout", []byte{
-			opScheduleBatch, 9, 0, 1, opScheduleBatch, 0, 0, 3,
-			opSchedule, 5, 0, 1, opScheduleBatch, 0xff, 0xff, 2,
-			opRunFor, 0x40, 0, 1, opScheduleBatch, 3, 1, 0,
+			opSchedule, 0xe8, 3, 1, opSchedule, 0xe8, 3, 1, opAt, 0xe8, 3, 1,
+			opSchedule, 0xe9, 3, 1, opScheduleAfter, 0xe8, 3, 1, opSchedule, 0, 0, 3,
+			opSchedule, 0xff, 0xff, 2, opSchedule, 0xe8, 3, 1, opRunFor, 0x40, 0, 1,
+			opSchedule, 0xe8, 3, 1, opScheduleAfter, 0xe8, 3, 1, opAt, 0xe9, 3, 1,
 		}},
 	}
 }

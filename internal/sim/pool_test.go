@@ -1,6 +1,19 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestEventSize pins Event at 32 bytes, exactly a malloc size class. At and
+// After allocate one Event per call, tens of MB per cmd/experiments pass, so
+// a field that grows the struct past 32 bytes moves every such event into
+// the 48-byte class: 50% more bytes for the same events.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 32 {
+		t.Fatalf("sim.Event is %d bytes, want 32", got)
+	}
+}
 
 // TestScheduleReusesEvents proves the kernel freelist recycles pooled Event
 // structs: after the first fire, every subsequent Schedule is served from the

@@ -8,12 +8,9 @@
 // given seed and very fast — a simulated minute of 802.11 traffic executes in
 // milliseconds.
 //
-// Event *commits* are deliberately single-goroutine: one World, one serial
-// commit loop, so protocol code stays free of locks and results reproducible.
-// Parallelism happens *across* independent kernels (see core.Sweep) and — when
-// SetWorkers enables the conservative-window loop (lanes.go) — inside one
-// kernel via speculative prepare callbacks that precompute the read-only part
-// of upcoming events without touching shared state, RNG, or the trace digest.
+// A kernel is deliberately single-goroutine: one World, one serial event
+// loop, so protocol code stays free of locks and results reproducible.
+// Parallelism happens *across* independent kernels (see core.Sweep).
 package sim
 
 import (
@@ -63,13 +60,6 @@ type Event struct {
 	when Time
 	seq  uint64 // tie-break: insertion order
 	fn   func()
-	// prep, if non-nil, is a speculative precompute hook (SchedulePrep): the
-	// conservative-window loop may run it — possibly on a worker goroutine,
-	// possibly never — any time before fn fires. It must be pure with respect
-	// to shared simulation state: reads only, writes confined to state owned
-	// by this event, no RNG draws, no scheduling, no digest mixes. fn decides
-	// at commit time whether the prepared result is still valid.
-	prep func()
 	// cancelled events remain queued but are skipped when they surface.
 	cancelled bool
 	// pooled events came from the kernel freelist (Schedule/ScheduleAfter)
@@ -135,21 +125,6 @@ type Kernel struct {
 	eventReuses uint64
 	// bufPool recycles packet buffers for every layer running on this kernel.
 	bufPool *pkt.Pool
-	// workers selects the execution mode (SetWorkers): 0 runs the classic
-	// serial loop; n >= 1 runs the conservative-window loop (lanes.go) with n
-	// prepare lanes (n-1 goroutines plus the main goroutine).
-	workers int
-	// lookahead is the conservative window width: the minimum delay between
-	// scheduling a preparable event and its fire time, set by the medium to
-	// the minimum airtime (SetLookahead). Purely a performance knob — commit
-	// validity never depends on it.
-	lookahead Time
-	// prepBatch is the scratch list of prepare-bearing events collected for
-	// the current window (windowed loop only).
-	prepBatch []*Event
-	// pool is the prepare worker pool, live only inside a windowed
-	// Run/RunUntil call so idle kernels hold no goroutines.
-	pool *prepPool
 }
 
 // NewKernel returns a kernel at t=0 whose random source is seeded with seed.
@@ -247,62 +222,6 @@ func (k *Kernel) ScheduleAfter(d Time, fn func()) {
 	k.Schedule(k.now+d, fn)
 }
 
-// SchedulePrep is Schedule with a speculative prepare hook. Under the serial
-// loop prep is simply never called; under the conservative-window loop
-// (SetWorkers >= 1) the kernel may run prep — on any prepare lane — at any
-// point before fn fires, or not at all. See Event.prep for the purity
-// contract; fn must validate the prepared result before consuming it.
-func (k *Kernel) SchedulePrep(t Time, fn, prep func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling into the past: now=%v t=%v", k.now, t))
-	}
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	e := k.getEvent()
-	e.when = t
-	e.seq = k.seq
-	e.fn = fn
-	e.prep = prep
-	e.pooled = true
-	k.seq++
-	k.insert(e)
-}
-
-// SetWorkers selects the kernel's execution mode. 0 (the default) is the
-// classic serial event loop. n >= 1 enables the conservative-window loop
-// (lanes.go): events still *commit* one at a time on the calling goroutine in
-// exact (when, seq) order — trace digests are byte-identical to the serial
-// loop at any GOMAXPROCS — but prepare hooks (SchedulePrep) for events inside
-// the lookahead window run ahead of time across n lanes: inline on the main
-// goroutine when n == 1, on n-1 worker goroutines plus the main goroutine
-// when n >= 2. Must not be called while Run/RunUntil is executing.
-func (k *Kernel) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	k.workers = n
-}
-
-// Workers reports the configured worker count (see SetWorkers).
-func (k *Kernel) Workers() int { return k.workers }
-
-// SetLookahead sets the conservative window width: the guaranteed minimum
-// delay between scheduling a preparable event and its fire time. The medium
-// sets it to the minimum frame airtime, so completions scheduled by sends
-// inside a window always land beyond the window's horizon and are preparable
-// in a later window. Wider lookahead batches more prepares per barrier;
-// correctness never depends on the value.
-func (k *Kernel) SetLookahead(d Time) {
-	if d < 0 {
-		d = 0
-	}
-	k.lookahead = d
-}
-
-// Lookahead reports the configured conservative window width.
-func (k *Kernel) Lookahead() Time { return k.lookahead }
-
 // getEvent takes an Event from the freelist, or allocates one.
 func (k *Kernel) getEvent() *Event {
 	if n := len(k.freeEvents); n > 0 {
@@ -367,10 +286,6 @@ func (k *Kernel) step() bool {
 // the number of events fired.
 func (k *Kernel) Run() uint64 {
 	start := k.fired
-	if k.workers > 0 {
-		k.runWindowed(MaxTime)
-		return k.fired - start
-	}
 	for !k.stopped && k.step() {
 	}
 	return k.fired - start
@@ -384,16 +299,12 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 		panic(fmt.Sprintf("sim: RunUntil into the past: now=%v deadline=%v", k.now, deadline))
 	}
 	start := k.fired
-	if k.workers > 0 {
-		k.runWindowed(deadline)
-	} else {
-		for !k.stopped {
-			next, ok := k.peekWhen()
-			if !ok || next > deadline {
-				break
-			}
-			k.step()
+	for !k.stopped {
+		next, ok := k.peekWhen()
+		if !ok || next > deadline {
+			break
 		}
+		k.step()
 	}
 	if k.now < deadline {
 		k.now = deadline
@@ -417,7 +328,7 @@ func (k *Kernel) Tracef(component, format string, args ...any) {
 	}
 }
 
-// WriterTracer adapts an io.Writer-style print function into a Tracer.
+// FuncTracer adapts a print-style function into a Tracer.
 type FuncTracer func(t Time, component, format string, args ...any)
 
 // Trace implements Tracer.

@@ -132,78 +132,6 @@ func (k *Kernel) insert(e *Event) {
 	}
 }
 
-// BatchEntry is one event of a ScheduleBatch call.
-type BatchEntry struct {
-	When Time
-	Fn   func()
-}
-
-// ScheduleBatch schedules every entry as a pooled event, exactly as if
-// Schedule had been called once per entry in order: sequence numbers are
-// assigned in entry order, so fire order and trace digests are identical to
-// the sequential calls. The point is the wheel fast path — consecutive
-// entries landing on the same wheel tick share one slot lookup and one
-// occupancy-bit update, so a large fan-out (per-station joins, per-receiver
-// completions, fault-occurrence trains) costs one insert per occupied slot
-// instead of one per event. Entry closures carry the same obligations as
-// Schedule's (no loop-variable capture without a copy; see eventcapture).
-func (k *Kernel) ScheduleBatch(entries []BatchEntry) {
-	// slot/slotTick cache one wheel slot across consecutive same-tick
-	// entries; flush writes the grown slice and occupancy bit back. The cache
-	// must be flushed before any panic so earlier entries stay scheduled,
-	// matching the sequential-call behavior.
-	var (
-		slot     []*Event
-		slotTick int64 = -1
-		slotIdx  int64
-	)
-	flush := func() {
-		if slotTick >= 0 {
-			k.slots[slotIdx] = slot
-			k.occ[slotIdx>>6] |= 1 << uint(slotIdx&63)
-			slotTick = -1
-		}
-	}
-	for _, ent := range entries {
-		if ent.When < k.now {
-			flush()
-			panic(fmt.Sprintf("sim: scheduling into the past: now=%v t=%v", k.now, ent.When))
-		}
-		if ent.Fn == nil {
-			flush()
-			panic("sim: nil event function")
-		}
-		e := k.getEvent()
-		e.when = ent.When
-		e.seq = k.seq
-		e.fn = ent.Fn
-		e.pooled = true
-		k.seq++
-		tk := tickOf(e.when)
-		if tk == slotTick {
-			slot = append(slot, e)
-			k.wheelCount++
-			continue
-		}
-		switch {
-		case tk <= k.cursor:
-			heapPush(&k.cur, e)
-		case tk <= k.cursor+wheelSlots:
-			flush()
-			if k.slots == nil {
-				k.slots = make([][]*Event, wheelSlots)
-			}
-			slotTick = tk
-			slotIdx = tk & wheelMask
-			slot = append(k.slots[slotIdx], e)
-			k.wheelCount++
-		default:
-			heapPush(&k.overflow, e)
-		}
-	}
-	flush()
-}
-
 // promote drains overflow events whose tick has entered the wheel window.
 // Pops come in (when, seq) order, so same-slot promotions preserve seq order.
 func (k *Kernel) promote() {

@@ -206,8 +206,8 @@ func TestSlotTableLazy(t *testing.T) {
 	if k.slots != nil {
 		t.Fatal("NewKernel allocated the slot table eagerly")
 	}
-	k.Schedule(0, func() {})                                 // imminent tier
-	k.Schedule(Time(2)<<slotShift*wheelSlots, func() {})     // overflow tier
+	k.Schedule(0, func() {})                             // imminent tier
+	k.Schedule(Time(2)<<slotShift*wheelSlots, func() {}) // overflow tier
 	if k.slots != nil {
 		t.Fatal("imminent/overflow inserts allocated the slot table")
 	}

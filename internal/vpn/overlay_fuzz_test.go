@@ -22,9 +22,9 @@ func FuzzRouteAdDecode(f *testing.F) {
 		{prefix: inet.MustParsePrefix("198.18.0.44/32"), hops: 1},
 		{prefix: inet.MustParsePrefix("198.18.0.44/32"), hops: hopsUnreachable},
 	}))
-	f.Add([]byte{10, 0, 0, 1, 24, 2})  // host bits set: must be rejected
-	f.Add([]byte{10, 0, 0, 0, 33, 2})  // bits > 32: must be rejected
-	f.Add([]byte{10, 0, 0, 0, 24})     // truncated entry
+	f.Add([]byte{10, 0, 0, 1, 24, 2}) // host bits set: must be rejected
+	f.Add([]byte{10, 0, 0, 0, 33, 2}) // bits > 32: must be rejected
+	f.Add([]byte{10, 0, 0, 0, 24})    // truncated entry
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		entries, ok := decodeRouteAd(body)
@@ -53,8 +53,8 @@ func FuzzRouteAdDecode(f *testing.F) {
 func FuzzStreamFrameDecode(f *testing.F) {
 	f.Add(encodeStreamOpen(1, inet.MustParseHostPort("198.18.0.44:4789"), "alice"))
 	f.Add(encodeStreamOpen(2, inet.MustParseHostPort("10.0.0.1:80"), ""))
-	f.Add([]byte{0, 0, 0, 7, 1, 2, 3, 4}) // id + payload (data frame shape)
-	f.Add([]byte{0, 0, 0})                // shorter than any id
+	f.Add([]byte{0, 0, 0, 7, 1, 2, 3, 4})                          // id + payload (data frame shape)
+	f.Add([]byte{0, 0, 0})                                         // shorter than any id
 	f.Add(append(encodeStreamOpen(3, inet.HostPort{}, "x"), 0xff)) // trailing junk
 
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -2,9 +2,8 @@
 # scripts/bench.sh — run the benchmark suite and emit a JSON summary:
 #
 #   - the root-package experiment benchmarks (E1–E15, the campus-world
-#     throughput benches — serial and conservative-window parallel — and
-#     the chaos digest matrix), once each (-benchtime 1x: they are whole
-#     experiments);
+#     throughput bench, and the chaos digest matrix), once each
+#     (-benchtime 1x: they are whole experiments);
 #   - the sim kernel throughput benchmarks (events/sec at several standing
 #     queue depths, the reference-heap comparison, and the soak bench);
 #   - the sharded-medium broadcast benchmarks (per-transmission delivery

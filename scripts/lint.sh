@@ -2,7 +2,7 @@
 # scripts/lint.sh — the lint gate, identical to the `lint` job in
 # .github/workflows/ci.yml. `make lint` runs this.
 #
-# go vet and simvet always run (both ship with the repo). staticcheck and
+# gofmt, go vet and simvet always run (all ship with the repo or toolchain). staticcheck and
 # govulncheck need a network install, so locally they are skipped when not
 # on PATH; CI always installs the pinned versions below. Keep the pins here
 # and in ci.yml in lockstep.
@@ -12,6 +12,14 @@ STATICCHECK_VERSION=${STATICCHECK_VERSION:-2024.1.1}
 GOVULNCHECK_VERSION=${GOVULNCHECK_VERSION:-v1.1.3}
 
 cd "$(dirname "$0")/.."
+
+echo "== gofmt =="
+unformatted=$(gofmt -l $(git ls-files '*.go' | grep -v '^vendor/'))
+if [ -n "$unformatted" ]; then
+	echo "gofmt needed on:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
