@@ -171,7 +171,7 @@ func BenchmarkChaosDigestMatrix(b *testing.B) {
 	schedules := []string{"deauth-storm", "ap-restart", "burst-loss"}
 	runPoint := func(seed uint64, schedule string) uint64 {
 		b.Helper()
-		o, err := core.RunScenarioFaults("healthy", seed, true, schedule)
+		o, err := core.RunScenarioOpts("healthy", seed, core.ScenarioOpts{Checks: true, Faults: schedule})
 		if err != nil {
 			b.Fatalf("seed %d schedule %q: %v", seed, schedule, err)
 		}

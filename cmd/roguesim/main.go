@@ -14,7 +14,7 @@
 //	go run ./cmd/roguesim -scenario campus-rogue -digest
 //	go run ./cmd/roguesim -faults list
 //
-// The scenarios themselves live in internal/core (RunScenario), where the
+// The scenarios themselves live in internal/core (RunScenarioOpts), where the
 // determinism tests replay them; this command only formats the outcome.
 package main
 

@@ -22,11 +22,9 @@
 //     ownership-transferring call, unless re-acquired via
 //     Retain() first; double Release is the special case of
 //     using a released buffer to release it again.
-//   - eventpool:   kernel-event pool hygiene: the *sim.Event handle returned
-//     by At/After exists only to be retained for Cancel — a
-//     discarded handle must use the pooled Schedule/ScheduleAfter
-//     instead — and a callback must not Cancel its own handle
-//     (the event has already fired by the time it runs).
+//   - eventpool:   kernel-event pool hygiene: a callback must not Cancel
+//     the sim.Timer its own At/After call returned (the event
+//     has already fired by the time it runs).
 //
 // Ownership conventions of called functions are declared at their definition
 // with the //simvet:owner transfer|borrow directive (see internal/analysis,

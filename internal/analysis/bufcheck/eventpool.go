@@ -11,23 +11,16 @@ import (
 	simvet "repro/internal/analysis"
 )
 
-// EventpoolAnalyzer enforces kernel-event pool hygiene (DESIGN.md §8, PR 6):
-// sim.Kernel has two scheduling families — At/After return a *sim.Event
-// handle that exists only to be retained for Cancel, while Schedule/
-// ScheduleAfter recycle their Event through a freelist and hand nothing out.
-//
-//   - A discarded At/After handle is a pooling bug: the caller pays the
-//     handle allocation for nothing and blocks the event from the freelist;
-//     fire-and-forget events must use the pooled variants. (At → Schedule
-//     conversions are digest-neutral: the trace digest mixes only an event's
-//     time and sequence number, which both families share.)
-//   - A callback that cancels its own handle is a liveness bug dressed as
-//     cleanup: by the time the callback runs, the event has fired and Cancel
-//     is a no-op — unless the callback rescheduled through the same variable
-//     first, which is the legitimate timer-renewal idiom and is exempted.
+// EventpoolAnalyzer enforces kernel-event pool hygiene (DESIGN.md §9.5):
+// sim.Kernel's At/After recycle every event through a freelist and return a
+// sim.Timer whose Cancel acts only while that scheduling is still queued.
+// A callback that cancels its own Timer is a liveness bug dressed as
+// cleanup: by the time the callback runs, the event has fired and Cancel is
+// a no-op — unless the callback rescheduled through the same variable
+// first, which is the legitimate timer-renewal idiom and is exempted.
 var EventpoolAnalyzer = &analysis.Analyzer{
 	Name:       "eventpool",
-	Doc:        "flag discarded At/After event handles (use pooled Schedule/ScheduleAfter) and callbacks canceling their own fired handle",
+	Doc:        "flag kernel-event callbacks canceling their own fired Timer",
 	Requires:   []*analysis.Analyzer{inspect.Analyzer},
 	ResultType: simvet.SuppressionsType,
 	Run:        runEventpool,
@@ -36,45 +29,27 @@ var EventpoolAnalyzer = &analysis.Analyzer{
 func runEventpool(pass *analysis.Pass) (any, error) {
 	rep := simvet.NewReporter(pass)
 	if pass.Pkg.Name() == "sim" {
-		// The scheduler implements both families; its internals are exempt the
+		// The scheduler implements the Timer; its internals are exempt the
 		// same way pkt is for the buffer analyzers.
 		return rep.Finish(), nil
 	}
 	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	insp.Preorder([]ast.Node{(*ast.ExprStmt)(nil), (*ast.AssignStmt)(nil)}, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.ExprStmt:
-			if call, name := kernelAtAfter(pass.TypesInfo, n.X); call != nil {
-				reportDiscard(rep, call, name)
-			}
-		case *ast.AssignStmt:
-			checkAssign(pass, rep, n)
-		}
+	insp.Preorder([]ast.Node{(*ast.AssignStmt)(nil)}, func(n ast.Node) {
+		checkAssign(pass, rep, n.(*ast.AssignStmt))
 	})
 	return rep.Finish(), nil
 }
 
-// checkAssign covers the two assignment shapes: a handle bound to the blank
-// identifier (discard) and a handle bound to a variable whose callback
-// cancels it (self-cancel).
+// checkAssign flags a Timer bound to a variable whose own callback cancels
+// it without first renewing it.
 func checkAssign(pass *analysis.Pass, rep *simvet.Reporter, n *ast.AssignStmt) {
 	for i, rhs := range n.Rhs {
-		call, name := kernelAtAfter(pass.TypesInfo, rhs)
-		if call == nil || i >= len(n.Lhs) {
+		call := kernelAtAfter(pass.TypesInfo, rhs)
+		if call == nil || i >= len(n.Lhs) || len(call.Args) < 2 {
 			continue
 		}
-		lhs := ast.Unparen(n.Lhs[i])
-		if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
-			reportDiscard(rep, call, name)
-			continue
-		}
-		root, path := simplePath(pass.TypesInfo, lhs)
+		root, path := simplePath(pass.TypesInfo, n.Lhs[i])
 		if root == nil {
-			continue
-		}
-		// Self-cancel: the scheduled closure cancels the very handle it was
-		// bound to, without first renewing it.
-		if len(call.Args) < 2 {
 			continue
 		}
 		lit, ok := call.Args[1].(*ast.FuncLit)
@@ -87,54 +62,44 @@ func checkAssign(pass *analysis.Pass, rep *simvet.Reporter, n *ast.AssignStmt) {
 	}
 }
 
-func reportDiscard(rep *simvet.Reporter, call *ast.CallExpr, name string) {
-	pooled := "Schedule"
-	if name == "After" {
-		pooled = "ScheduleAfter"
-	}
-	rep.Reportf(call, "discards the *sim.Event handle returned by %s: the handle exists only to be retained for Cancel — use the pooled %s for fire-and-forget events", name, pooled)
-}
-
-// kernelAtAfter returns the call and method name when e is a call to At or
-// After on a value of a named type Kernel (matched by name, like the other
-// simvet analyzers, so single-package fixtures work).
-func kernelAtAfter(info *types.Info, e ast.Expr) (*ast.CallExpr, string) {
+// kernelAtAfter returns the call when e is a call to At or After on a value
+// of a named type Kernel that returns a named type Timer (both matched by
+// name, like the other simvet analyzers, so single-package fixtures work).
+func kernelAtAfter(info *types.Info, e ast.Expr) *ast.CallExpr {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
-		return nil, ""
+		return nil
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return nil, ""
+		return nil
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok {
-		return nil, ""
+		return nil
 	}
 	if fn.Name() != "At" && fn.Name() != "After" {
-		return nil, ""
+		return nil
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
-		return nil, ""
+		return nil
 	}
 	t := sig.Recv().Type()
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Kernel" {
-		return nil, ""
+	if named, ok := t.(*types.Named); !ok || named.Obj().Name() != "Kernel" {
+		return nil
 	}
-	// Only the handle-returning family is in scope: a Kernel whose At/After
-	// return nothing has no handle to discard.
+	// Only a Timer-returning At/After has a handle its callback can cancel.
 	if sig.Results().Len() != 1 {
-		return nil, ""
+		return nil
 	}
-	if _, ok := sig.Results().At(0).Type().(*types.Pointer); !ok {
-		return nil, ""
+	if named, ok := sig.Results().At(0).Type().(*types.Named); !ok || named.Obj().Name() != "Timer" {
+		return nil
 	}
-	return call, fn.Name()
+	return call
 }
 
 // simplePath reduces an lvalue to (root object, dotted path) when it is a

@@ -40,11 +40,11 @@ import (
 
 type Kernel struct{}
 
-type Event struct{}
+type Timer struct{}
 
-func (e *Event) Cancel() {}
+func (t Timer) Cancel() {}
 
-func (k *Kernel) After(d int, fn func()) *Event { return &Event{} }
+func (k *Kernel) After(d int, fn func()) Timer { return Timer{} }
 
 func Violations(k *Kernel, m map[string]float64) []string {
 	_ = time.Now()   // walltime
@@ -56,7 +56,7 @@ func Violations(k *Kernel, m map[string]float64) []string {
 	vals := []float64{1, 2}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] }) // tiebreak
 	for i := 0; i < len(keys); i++ {
-		k.After(1, func() { _ = keys[i] }) // eventcapture + eventpool (discarded handle)
+		k.After(1, func() { _ = keys[i] }) // eventcapture
 	}
 	return keys
 }
@@ -95,8 +95,11 @@ import (
 	"tmpmod/internal/sim"
 )
 
-func FireAndForget(k *sim.Kernel) {
-	k.After(5, func() {}) // eventpool: discarded handle outside package sim
+func SelfCancel(k *sim.Kernel) {
+	var t sim.Timer
+	t = k.After(5, func() {
+		t.Cancel() // eventpool: the callback cancels its own fired Timer
+	})
 }
 
 func Leaky(p *pkt.Pool, drop bool) {

@@ -12,7 +12,7 @@ import (
 )
 
 // EventcaptureAnalyzer polices closures handed to the kernel scheduler
-// (Kernel.At, After, Schedule and ScheduleAfter). Two rules, both distilled
+// (Kernel.At and After). Two rules, both distilled
 // from the stale-event bugs fixed in internal/vpn/client.go:
 //
 //  1. A scheduled closure must not capture a loop variable. The event may
@@ -59,9 +59,7 @@ func runEventcapture(pass *analysis.Pass) (any, error) {
 }
 
 // isKernelSchedule reports whether call invokes one of the scheduling entry
-// points (At, After, Schedule, ScheduleAfter) on a value of a named type
-// called Kernel. The pooled handle-less variants are covered too: a stale
-// closure is just as stale when its Event struct is recycled.
+// points (At, After) on a value of a named type called Kernel.
 func isKernelSchedule(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -71,9 +69,7 @@ func isKernelSchedule(pass *analysis.Pass, call *ast.CallExpr) bool {
 	if !ok {
 		return false
 	}
-	switch fn.Name() {
-	case "At", "After", "Schedule", "ScheduleAfter":
-	default:
+	if fn.Name() != "At" && fn.Name() != "After" {
 		return false
 	}
 	sig, ok := fn.Type().(*types.Signature)

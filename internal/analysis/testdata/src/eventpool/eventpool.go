@@ -1,29 +1,16 @@
 // Package eventpool is the deliberate-violation fixture for the eventpool
-// analyzer: discarded At/After handles (which must use the pooled
-// Schedule/ScheduleAfter) and callbacks canceling their own fired handle.
+// analyzer: callbacks canceling their own fired Timer.
 package eventpool
 
 import "repro/internal/sim"
 
-func discardsAt(k *sim.Kernel) {
-	k.At(5, func() {}) // want `discards the \*sim\.Event handle returned by At: .* use the pooled Schedule `
-}
-
-func discardsAfter(k *sim.Kernel) {
-	k.After(5, func() {}) // want `discards the \*sim\.Event handle returned by After: .* use the pooled ScheduleAfter`
-}
-
-func discardsBlank(k *sim.Kernel) {
-	_ = k.At(5, func() {}) // want `discards the \*sim\.Event handle returned by At`
-}
-
 type conn struct {
 	k     *sim.Kernel
-	timer *sim.Event
+	timer sim.Timer
 }
 
-func selfCancelLocal(k *sim.Kernel) *sim.Event {
-	var ev *sim.Event
+func selfCancelLocal(k *sim.Kernel) sim.Timer {
+	var ev sim.Timer
 	ev = k.After(5, func() {
 		ev.Cancel() // want `callback cancels its own handle ev: the event has already fired`
 	})
@@ -36,15 +23,13 @@ func (c *conn) selfCancelField() {
 	})
 }
 
-func goodRetainedHandle(k *sim.Kernel) *sim.Event {
-	ev := k.At(5, func() {})
-	return ev
+func goodDroppedHandle(k *sim.Kernel) {
+	k.At(5, func() {})
+	k.After(5, func() {})
 }
 
 func goodCancelElsewhere(c *conn) {
-	if c.timer != nil {
-		c.timer.Cancel()
-	}
+	c.timer.Cancel()
 	c.timer = c.k.After(5, func() {})
 }
 
@@ -57,12 +42,9 @@ func (c *conn) goodRenewal() {
 	})
 }
 
-func goodPooled(k *sim.Kernel) {
-	k.Schedule(5, func() {})
-	k.ScheduleAfter(5, func() {})
-}
-
-func goodSuppressedDiscard(k *sim.Kernel) {
-	//simvet:allow eventpool fixture demonstrates a justified suppression
-	k.At(5, func() {})
+func (c *conn) goodSuppressedSelfCancel() {
+	c.timer = c.k.At(5, func() {
+		//simvet:allow eventpool fixture demonstrates a justified suppression
+		c.timer.Cancel()
+	})
 }

@@ -97,7 +97,7 @@ type cacheEntry struct {
 type pending struct {
 	attempts  int
 	callbacks []func(ethernet.MAC, error)
-	timer     *sim.Event
+	timer     sim.Timer
 }
 
 // ErrTimeout is reported to Resolve callbacks when no reply arrives.
@@ -204,9 +204,7 @@ func (c *Client) learn(ip inet.Addr, mac ethernet.MAC) {
 	}
 	if p, ok := c.wait[ip]; ok {
 		delete(c.wait, ip)
-		if p.timer != nil {
-			p.timer.Cancel()
-		}
+		p.timer.Cancel()
 		for _, cb := range p.callbacks {
 			cb(mac, nil)
 		}
@@ -217,7 +215,7 @@ func (c *Client) learn(ip inet.Addr, mac ethernet.MAC) {
 // refresh between arming and firing just re-arms for the new deadline, so
 // each live entry carries exactly one outstanding timer.
 func (c *Client) armExpiry(ip inet.Addr, at sim.Time) {
-	c.kernel.Schedule(at, func() {
+	c.kernel.At(at, func() {
 		e, ok := c.cache[ip]
 		if !ok {
 			return

@@ -53,7 +53,7 @@ func (d *Deauther) Flood(victim, bssid ethernet.MAC, interval sim.Time) {
 			return
 		}
 		d.Once(victim, bssid)
-		d.kernel.ScheduleAfter(interval, tick)
+		d.kernel.After(interval, tick)
 	}
 	tick()
 }

@@ -18,9 +18,9 @@ func TestScenarioDeterminism(t *testing.T) {
 	for _, name := range core.ScenarioNames() {
 		t.Run(name, func(t *testing.T) {
 			AssertDeterministic(t, func(seed uint64) uint64 {
-				o, err := core.RunScenario(name, seed, true)
+				o, err := core.RunScenarioOpts(name, seed, core.ScenarioOpts{Checks: true})
 				if err != nil {
-					t.Fatalf("RunScenario(%q, %d): %v", name, seed, err)
+					t.Fatalf("RunScenarioOpts(%q, %d): %v", name, seed, err)
 				}
 				return o.Digest
 			}, determinismSeeds...)
@@ -34,14 +34,14 @@ func TestScenarioDeterminism(t *testing.T) {
 // regression, not just trace drift.
 func TestScenarioOutcomesStable(t *testing.T) {
 	for _, seed := range determinismSeeds {
-		attack, err := core.RunScenario("attack", seed, true)
+		attack, err := core.RunScenarioOpts("attack", seed, core.ScenarioOpts{Checks: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !attack.Download.Compromised() {
 			t.Errorf("seed %d: attack scenario did not compromise the victim", seed)
 		}
-		vpn, err := core.RunScenario("vpn", seed, true)
+		vpn, err := core.RunScenarioOpts("vpn", seed, core.ScenarioOpts{Checks: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestScenarioOutcomesStable(t *testing.T) {
 		if !vpn.Download.Clean() {
 			t.Errorf("seed %d: vpn scenario download was not clean", seed)
 		}
-		mesh, err := core.RunScenario("mesh", seed, true)
+		mesh, err := core.RunScenarioOpts("mesh", seed, core.ScenarioOpts{Checks: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,14 +61,14 @@ func TestScenarioOutcomesStable(t *testing.T) {
 		if !mesh.Download.Clean() {
 			t.Errorf("seed %d: mesh scenario download was not clean", seed)
 		}
-		det, err := core.RunScenario("detect", seed, true)
+		det, err := core.RunScenarioOpts("detect", seed, core.ScenarioOpts{Checks: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(det.Alerts) == 0 {
 			t.Errorf("seed %d: detect scenario raised no alerts", seed)
 		}
-		healthy, err := core.RunScenario("healthy", seed, true)
+		healthy, err := core.RunScenarioOpts("healthy", seed, core.ScenarioOpts{Checks: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestChaosConvergence(t *testing.T) {
 	for _, name := range []string{"chaos-deauth", "chaos-apcrash", "chaos-burst", "chaos-relay"} {
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range determinismSeeds {
-				o, err := core.RunScenario(name, seed, true)
+				o, err := core.RunScenarioOpts(name, seed, core.ScenarioOpts{Checks: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -109,7 +109,7 @@ func TestChaosConvergence(t *testing.T) {
 func TestDigestSeedSensitivity(t *testing.T) {
 	digests := make(map[uint64]uint64)
 	for _, seed := range determinismSeeds {
-		o, err := core.RunScenario("attack", seed, true)
+		o, err := core.RunScenarioOpts("attack", seed, core.ScenarioOpts{Checks: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -134,7 +134,7 @@ func NewCampusWorld(cfg CampusConfig) *CampusWorld {
 		})
 		w.STAs = append(w.STAs, sta)
 		w.staRadios = append(w.staRadios, radio)
-		w.Kernel.Schedule(p.JoinAt, sta.Connect)
+		w.Kernel.At(p.JoinAt, sta.Connect)
 		w.scheduleTraffic(i, sta, p)
 	}
 
@@ -170,7 +170,7 @@ func (w *CampusWorld) scheduleTraffic(i int, sta *dot11.STA, p STAPlacement) {
 			bssid := sta.BSS().BSSID
 			for n := 0; n < frames; n++ {
 				n := n
-				w.Kernel.ScheduleAfter(sim.Time(n)*2*sim.Millisecond, func() {
+				w.Kernel.After(sim.Time(n)*2*sim.Millisecond, func() {
 					if sta.State() != dot11.StateAssociated {
 						return
 					}
@@ -179,9 +179,9 @@ func (w *CampusWorld) scheduleTraffic(i int, sta *dot11.STA, p STAPlacement) {
 				})
 			}
 		}
-		w.Kernel.ScheduleAfter(interval+w.rng.Jitter(interval/2), tick)
+		w.Kernel.After(interval+w.rng.Jitter(interval/2), tick)
 	}
-	w.Kernel.Schedule(p.JoinAt+interval/2+w.rng.Jitter(interval), tick)
+	w.Kernel.At(p.JoinAt+interval/2+w.rng.Jitter(interval), tick)
 }
 
 // installFaults arms the chaos engine against the campus: station 0 is the

@@ -37,7 +37,7 @@ func TestCampusDigestStability(t *testing.T) {
 			}
 			for _, procs := range []int{1, 4, 1, 4} {
 				runtime.GOMAXPROCS(procs)
-				o, err := RunScenario(name, seed, false)
+				o, err := RunScenarioOpts(name, seed, ScenarioOpts{})
 				if err != nil {
 					t.Fatalf("%s seed %d: %v", name, seed, err)
 				}
@@ -54,7 +54,7 @@ func TestCampusDigestStability(t *testing.T) {
 // the high-power SSID clone captures part of cluster 0 (but not the whole
 // campus), harvests their traffic, and the rest of the ESS is unaffected.
 func TestCampusRogueCaptures(t *testing.T) {
-	o, err := RunScenario("campus-rogue", 1, true)
+	o, err := RunScenarioOpts("campus-rogue", 1, ScenarioOpts{Checks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCampusRogueCaptures(t *testing.T) {
 // TestCampusCleanHasNoRogue: without the rogue, every station lands on its
 // home AP's BSSID and nothing is harvested.
 func TestCampusCleanHasNoRogue(t *testing.T) {
-	o, err := RunScenario("campus", 1, true)
+	o, err := RunScenarioOpts("campus", 1, ScenarioOpts{Checks: true})
 	if err != nil {
 		t.Fatal(err)
 	}

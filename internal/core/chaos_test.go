@@ -28,7 +28,7 @@ func TestChaosSweepDeterminism(t *testing.T) {
 		converged bool
 	}
 	run := func(p point) result {
-		o, err := RunScenarioFaults("healthy", p.seed, true, p.schedule)
+		o, err := RunScenarioOpts("healthy", p.seed, ScenarioOpts{Checks: true, Faults: p.schedule})
 		if err != nil {
 			t.Errorf("seed %d schedule %q: %v", p.seed, p.schedule, err)
 			return result{}
@@ -102,7 +102,7 @@ func TestBuiltinsWorkAgainstFullWorld(t *testing.T) {
 		if name == "relay-drop" {
 			scenario = "mesh"
 		}
-		o, err := RunScenarioFaults(scenario, 1, true, name)
+		o, err := RunScenarioOpts(scenario, 1, ScenarioOpts{Checks: true, Faults: name})
 		if err != nil {
 			t.Fatalf("builtin %q: %v", name, err)
 		}

@@ -37,7 +37,7 @@ func TestOverlayScenarioDigestStability(t *testing.T) {
 		}
 	}
 	run := func(p point) uint64 {
-		o, err := RunScenario(p.scenario, p.seed, true)
+		o, err := RunScenarioOpts(p.scenario, p.seed, ScenarioOpts{Checks: true})
 		if err != nil {
 			t.Errorf("%s seed %d: %v", p.scenario, p.seed, err)
 			return 0
@@ -73,7 +73,7 @@ func TestOverlayScenarioDigestStability(t *testing.T) {
 // must still finish clean.
 func TestChaosRelayFailoverOutcome(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
-		o, err := RunScenario("chaos-relay", seed, true)
+		o, err := RunScenarioOpts("chaos-relay", seed, ScenarioOpts{Checks: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -115,8 +115,8 @@ func ScenarioConfig(name string, seed uint64) (Config, error) {
 		cfg.Faults = "relay-drop"
 	case "campus", "campus-rogue":
 		// Generated-topology scenarios have no single-victim Config; they
-		// are dispatched directly by RunScenarioFaults.
-		return Config{}, fmt.Errorf("core: scenario %q uses a generated topology and has no Config; use RunScenario", name)
+		// are dispatched directly by RunScenarioOpts.
+		return Config{}, fmt.Errorf("core: scenario %q uses a generated topology and has no Config; use RunScenarioOpts", name)
 	default:
 		return Config{}, fmt.Errorf("core: unknown scenario %q", name)
 	}
@@ -131,7 +131,7 @@ func rogueGeometry(cfg *Config) {
 	cfg.RoguePos = phy.Position{X: 42, Y: 0}
 }
 
-// ScenarioOpts bundles the optional knobs shared by every scenario runner.
+// ScenarioOpts bundles RunScenarioOpts' optional knobs.
 type ScenarioOpts struct {
 	// Checks enables kernel invariant checking (violations panic).
 	Checks bool
@@ -140,22 +140,8 @@ type ScenarioOpts struct {
 	Faults string
 }
 
-// RunScenario executes a named scenario to completion. checks enables
-// kernel invariant checking for the run (violations panic).
-func RunScenario(name string, seed uint64, checks bool) (*ScenarioOutcome, error) {
-	return RunScenarioOpts(name, seed, ScenarioOpts{Checks: checks})
-}
-
-// RunScenarioFaults runs a named scenario with a fault schedule (builtin
-// name or raw string) overriding whatever the scenario configures itself.
-// An empty schedule keeps the scenario's own. This is what the chaos
-// sweeps drive.
-func RunScenarioFaults(name string, seed uint64, checks bool, schedule string) (*ScenarioOutcome, error) {
-	return RunScenarioOpts(name, seed, ScenarioOpts{Checks: checks, Faults: schedule})
-}
-
-// RunScenarioOpts is the full-knob scenario runner behind RunScenario and
-// RunScenarioFaults; cmd/roguesim calls it directly.
+// RunScenarioOpts executes a named scenario to completion. It is the one
+// scenario runner: tests, cmd/roguesim and the benchmark all call it.
 func RunScenarioOpts(name string, seed uint64, opts ScenarioOpts) (*ScenarioOutcome, error) {
 	if name == "campus" || name == "campus-rogue" {
 		// Campus scenarios build a generated world, not the single-victim

@@ -18,7 +18,7 @@ func TestSweepConcurrentWorlds(t *testing.T) {
 	}
 
 	run := func(seed uint64) uint64 {
-		o, err := RunScenario("attack", seed, true)
+		o, err := RunScenarioOpts("attack", seed, ScenarioOpts{Checks: true})
 		if err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 			return 0

@@ -288,5 +288,5 @@ func (h *Hopper) hop(c phy.Channel) {
 	if next > phy.MaxChannel {
 		next = phy.MinChannel
 	}
-	h.kernel.ScheduleAfter(h.dwell, func() { h.hop(next) })
+	h.kernel.After(h.dwell, func() { h.hop(next) })
 }

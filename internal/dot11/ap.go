@@ -51,7 +51,7 @@ type AP struct {
 	nextAID  uint16
 	host     *apHostNIC
 	uplink   *ethernet.Port
-	beacon   *sim.Event
+	beacon   sim.Timer
 	started  sim.Time
 	stopped  bool
 	down     bool
@@ -110,9 +110,7 @@ func (ap *AP) Config() APConfig { return ap.cfg }
 // Stop silences the AP (no more beacons or responses).
 func (ap *AP) Stop() {
 	ap.stopped = true
-	if ap.beacon != nil {
-		ap.beacon.Cancel()
-	}
+	ap.beacon.Cancel()
 }
 
 // SetDown crashes the AP (true) or restarts it (false) — the apcrash fault.
@@ -128,10 +126,7 @@ func (ap *AP) SetDown(down bool) {
 	if down {
 		ap.Crashes++
 		ap.radio.SetDown(true)
-		if ap.beacon != nil {
-			ap.beacon.Cancel()
-			ap.beacon = nil
-		}
+		ap.beacon.Cancel()
 		ap.stations = make(map[ethernet.MAC]*stationState)
 	} else {
 		ap.radio.SetDown(false)

@@ -51,7 +51,7 @@ type entity struct {
 	inflight *txJob
 	// freeJobs is the LIFO freelist of recycled txJob structs.
 	freeJobs []*txJob
-	ackTimer *sim.Event
+	ackTimer sim.Timer
 	nextTxAt sim.Time
 
 	// attemptSendFn/kickFn are the method closures scheduled for every
@@ -170,14 +170,14 @@ func (e *entity) attemptSend() {
 	}
 	now := e.kernel.Now()
 	if now < e.nextTxAt {
-		e.kernel.Schedule(e.nextTxAt, e.attemptSendFn)
+		e.kernel.At(e.nextTxAt, e.attemptSendFn)
 		return
 	}
 	if e.radio.CarrierBusy() {
 		e.Deferrals++
 		job.attempt++
 		backoff := difs + sim.Time(e.rng.Intn(cwMin+1))*slotTime
-		e.kernel.ScheduleAfter(backoff, e.attemptSendFn)
+		e.kernel.After(backoff, e.attemptSendFn)
 		return
 	}
 	end := e.radio.SendBuf(job.pb.Retain(), e.rate)
@@ -189,7 +189,7 @@ func (e *entity) attemptSend() {
 		job.pb.Release()
 		e.inflight = nil
 		e.putJob(job)
-		e.kernel.Schedule(end, e.kickFn)
+		e.kernel.At(end, e.kickFn)
 		return
 	}
 	// Await the link-layer ACK.
@@ -230,10 +230,7 @@ func (e *entity) onAckReceived() {
 	if e.inflight == nil {
 		return
 	}
-	if e.ackTimer != nil {
-		e.ackTimer.Cancel()
-		e.ackTimer = nil
-	}
+	e.ackTimer.Cancel()
 	e.inflight.pb.Release()
 	// The ack timer was just cancelled, so nothing references the job.
 	e.putJob(e.inflight)
@@ -251,7 +248,7 @@ func (e *entity) sendAck(dst ethernet.MAC) {
 	ack := Frame{Type: TypeControl, Subtype: SubtypeAck, Addr1: dst}
 	pb := e.kernel.BufPool().Get()
 	ack.putHeader(pb.Extend(ackFrameLen))
-	e.kernel.ScheduleAfter(sifs, func() { e.radio.SendBuf(pb, e.rate) })
+	e.kernel.After(sifs, func() { e.radio.SendBuf(pb, e.rate) })
 }
 
 // onRadioFrame is the shared receive path: ACK handling, ACK generation,

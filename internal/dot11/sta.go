@@ -113,8 +113,8 @@ type STA struct {
 	scanResults map[scanKey]BSS
 	scanChan    phy.Channel
 	lastBeacon  sim.Time
-	stepTimeout *sim.Event
-	beaconCheck *sim.Event
+	stepTimeout sim.Timer
+	beaconCheck sim.Timer
 	stopped     bool
 	// backoffN counts consecutive failed connection attempts; it drives the
 	// exponential reconnect ladder and resets on association.
@@ -187,12 +187,8 @@ func (s *STA) Stop() {
 }
 
 func (s *STA) cancelTimers() {
-	if s.stepTimeout != nil {
-		s.stepTimeout.Cancel()
-	}
-	if s.beaconCheck != nil {
-		s.beaconCheck.Cancel()
-	}
+	s.stepTimeout.Cancel()
+	s.beaconCheck.Cancel()
 }
 
 // Connect begins scanning for the configured SSID. An explicit Connect is a
@@ -345,9 +341,7 @@ func (s *STA) join(b BSS) {
 }
 
 func (s *STA) armStepTimeout() {
-	if s.stepTimeout != nil {
-		s.stepTimeout.Cancel()
-	}
+	s.stepTimeout.Cancel()
 	s.stepTimeout = s.kernel.After(mgmtTimeout, func() {
 		// Step timed out; back off, then start over.
 		if s.state == StateAuthenticating || s.state == StateAssociating {
@@ -464,9 +458,7 @@ func (s *STA) onAssocResp(f Frame) {
 		s.retry()
 		return
 	}
-	if s.stepTimeout != nil {
-		s.stepTimeout.Cancel()
-	}
+	s.stepTimeout.Cancel()
 	s.state = StateAssociated
 	s.backoffN = 0
 	s.AssocCount++

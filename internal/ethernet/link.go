@@ -131,7 +131,6 @@ func (p *Port) xmit(f Frame, pb *pkt.Buf) {
 		return // unplugged
 	}
 	if len(f.Payload) > p.mtu {
-		p.kernel.Tracef("ethernet", "drop oversize frame (%d > MTU %d)", len(f.Payload), p.mtu)
 		pb.Release()
 		return
 	}
@@ -170,7 +169,7 @@ func (p *Port) transmit(f Frame, pb *pkt.Buf) {
 	p.TxFrames++
 	p.TxBytes += uint64(f.WireLen())
 	peer := p.peer
-	p.kernel.Schedule(end+p.propDelay, func() { peer.deliver(f, pb) })
+	p.kernel.At(end+p.propDelay, func() { peer.deliver(f, pb) })
 }
 
 // deliver hands the frame to the receiver callback and retires the buffer.

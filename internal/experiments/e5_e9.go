@@ -119,10 +119,10 @@ func E7Detection(s Scale) Table {
 			var loop func()
 			loop = func() {
 				w.VictimDownload(func(core.DownloadResult) {
-					w.Kernel.ScheduleAfter(sim.Second, loop)
+					w.Kernel.After(sim.Second, loop)
 				})
 			}
-			w.Kernel.ScheduleAfter(12*sim.Second, loop)
+			w.Kernel.After(12*sim.Second, loop)
 		}
 		w.Run(60 * sim.Second)
 		if len(d.Alerts) == 0 {

@@ -114,8 +114,8 @@ func (e *Engine) Install(s Schedule) error {
 		for occ := 0; occ < inj.Count; occ++ {
 			inj := inj
 			start := inj.At + sim.Time(occ)*inj.Period
-			e.kernel.Schedule(start, func() { e.apply(inj) })
-			e.kernel.Schedule(start+inj.Duration, func() { e.revert(inj) })
+			e.kernel.At(start, func() { e.apply(inj) })
+			e.kernel.At(start+inj.Duration, func() { e.revert(inj) })
 		}
 	}
 	return nil
@@ -183,7 +183,6 @@ func (e *Engine) apply(inj Injection) {
 		return
 	}
 	e.Applied++
-	e.kernel.Tracef("faults", "inject %s", inj.Kind)
 	switch inj.Kind {
 	case KindBurst:
 		e.t.Medium.SetBurstLoss(&phy.BurstLoss{
@@ -220,7 +219,6 @@ func (e *Engine) revert(inj Injection) {
 		return
 	}
 	e.Reverted++
-	e.kernel.Tracef("faults", "clear %s", inj.Kind)
 	switch inj.Kind {
 	case KindBurst:
 		e.t.Medium.SetBurstLoss(nil)

@@ -114,7 +114,7 @@ func (s *Stack) SetPartitioned(on bool) { s.partitioned = on }
 // Partitioned reports whether the host is currently isolated.
 func (s *Stack) Partitioned() bool { return s.partitioned }
 
-// NewStack creates a host stack. The name is used in traces.
+// NewStack creates a host stack named name (see Name).
 func NewStack(k *sim.Kernel, name string) *Stack {
 	return &Stack{
 		kernel:   k,
@@ -259,7 +259,7 @@ func (s *Stack) Send(src, dst inet.Addr, proto uint8, payload []byte) error {
 	// Broadcasts still go out (neighbours answer; we do not loop back).
 	for _, ifc := range s.ifaces {
 		if ifc.Addr == pkt.Dst {
-			s.kernel.ScheduleAfter(0, func() { s.deliverLocal(pkt, "lo") })
+			s.kernel.After(0, func() { s.deliverLocal(pkt, "lo") })
 			return nil
 		}
 	}
@@ -292,7 +292,7 @@ func (s *Stack) SendBuf(src, dst inet.Addr, proto uint8, pb *pktbuf.Buf) error {
 	// payload stays valid for the duration of the synchronous delivery.
 	for _, ifc := range s.ifaces {
 		if ifc.Addr == pkt.Dst {
-			s.kernel.ScheduleAfter(0, func() {
+			s.kernel.After(0, func() {
 				s.deliverLocal(pkt, "lo")
 				pb.Release()
 			})
@@ -353,7 +353,6 @@ func (s *Stack) route(pkt *Packet, inIface string, pb *pktbuf.Buf) error {
 	}
 	ifc.ARP.Resolve(nextHop, func(mac ethernet.MAC, err error) {
 		if err != nil {
-			s.kernel.Tracef("ipv4", "%s: arp for %s failed: %v", s.name, nextHop, err)
 			pb.Release()
 			return
 		}

@@ -66,5 +66,5 @@ func (j *Jammer) burst() {
 	j.Bursts++
 	end := j.radio.Send(j.payload, j.rate)
 	// Back-to-back bursts: the channel never goes idle.
-	j.kernel.Schedule(end, j.burst)
+	j.kernel.At(end, j.burst)
 }

@@ -76,7 +76,7 @@ func TestJammerEnergyIsShardLocal(t *testing.T) {
 	var sendNext func()
 	sendNext = func() {
 		end := blaster.Send(make([]byte, 400), Rate1Mbps)
-		k.Schedule(end, sendNext)
+		k.At(end, sendNext)
 	}
 	sendNext()
 	k.RunFor(2 * sim.Second)
@@ -93,7 +93,7 @@ func TestJammerEnergyIsShardLocal(t *testing.T) {
 	var sendNext2 func()
 	sendNext2 = func() {
 		end := blaster2.Send(make([]byte, 400), Rate1Mbps)
-		k2.Schedule(end, sendNext2)
+		k2.At(end, sendNext2)
 	}
 	sendNext2()
 	k2.RunFor(2 * sim.Second)

@@ -485,7 +485,7 @@ func (r *Radio) SendBuf(pb *pkt.Buf, rate Rate) sim.Time {
 	}
 	s := m.shard(r.channel)
 	s.active = append(s.active, tx)
-	m.kernel.Schedule(end, tx.completeFn)
+	m.kernel.At(end, tx.completeFn)
 	return end
 }
 

@@ -9,11 +9,17 @@ import (
 // The differential scheduler rig pins the time wheel (wheel.go) to the
 // binary-heap scheduler it replaced: the reference below is the original
 // container/heap event queue, kept verbatim in test code, and both schedulers
-// are driven through identical op scripts — At/After/Schedule/ScheduleAfter,
-// cancel-while-queued, cancel-then-reschedule, same-tick ties, run bursts —
-// with events that spawn more events as they fire. Identical fire order, fire
-// times, and final clocks are required. FuzzSchedulerOps feeds the same
-// driver with arbitrary scripts.
+// are driven through identical op scripts — At/After with kept and dropped
+// handles, cancel-while-queued, cancel-then-reschedule, same-tick ties, run
+// bursts — with events that spawn more events as they fire. Identical fire
+// order, fire times, and final clocks are required. FuzzSchedulerOps feeds
+// the same driver with arbitrary scripts.
+//
+// The reference never reuses an event, so its handles never go stale, while
+// the kernel recycles every event struct. Scripts keep every handle and
+// cancel fired ones at random, which makes the reference the oracle for
+// stale Timers: a stale Cancel that hits a reissued struct drops an event
+// the reference fires.
 
 // refEvent/refQueue/refSched are the pre-wheel scheduler, verbatim: a
 // container/heap min-heap ordered by (when, seq) with lazy cancellation.
@@ -116,7 +122,7 @@ func (r *refSched) runUntil(deadline Time) {
 	}
 }
 
-// canceller is the common surface of *Event and *refEvent handles.
+// canceller is the common surface of Timer and *refEvent handles.
 type canceller interface{ Cancel() }
 
 // scheduler abstracts the wheel kernel and the reference heap so one driver
@@ -124,7 +130,6 @@ type canceller interface{ Cancel() }
 type scheduler interface {
 	Now() Time
 	At(t Time, fn func()) canceller
-	Schedule(t Time, fn func())
 	RunFor(d Time)
 	Run()
 }
@@ -134,7 +139,6 @@ type wheelAdapter struct{ k *Kernel }
 
 func (w wheelAdapter) Now() Time                      { return w.k.Now() }
 func (w wheelAdapter) At(t Time, fn func()) canceller { return w.k.At(t, fn) }
-func (w wheelAdapter) Schedule(t Time, fn func())     { w.k.Schedule(t, fn) }
 func (w wheelAdapter) RunFor(d Time)                  { w.k.RunFor(d) }
 func (w wheelAdapter) Run()                           { w.k.Run() }
 
@@ -142,7 +146,6 @@ type refAdapter struct{ r *refSched }
 
 func (a refAdapter) Now() Time                      { return a.r.now }
 func (a refAdapter) At(t Time, fn func()) canceller { return a.r.at(t, fn) }
-func (a refAdapter) Schedule(t Time, fn func())     { a.r.at(t, fn) }
 func (a refAdapter) RunFor(d Time)                  { a.r.runUntil(a.r.now + d) }
 func (a refAdapter) Run()                           { a.r.run() }
 
@@ -153,11 +156,14 @@ type op struct {
 	arg   uint16
 }
 
+// The kinds keep their numbering so the committed FuzzSchedulerOps corpus
+// decodes to the same scripts; the two "Dropped" kinds schedule without
+// keeping the handle.
 const (
 	opAt byte = iota
 	opAfter
-	opSchedule
-	opScheduleAfter
+	opAtDropped
+	opAfterDropped
 	opCancel
 	opReschedule
 	opRunFor
@@ -206,9 +212,9 @@ func splitmix64(x uint64) uint64 {
 }
 
 // runScript interprets one op script against a scheduler and returns the
-// fire log. A quarter of fired events spawn a child (half via At with a
-// retained handle, half via Schedule), so fire-time scheduling — including
-// Schedule exactly at now — is exercised on every run.
+// fire log. A quarter of fired events spawn a child (half with a retained
+// handle, half with a dropped one), so fire-time scheduling — including At
+// exactly at now — is exercised on every run.
 func runScript(s scheduler, script []op) (log []fireRec, final Time) {
 	var handles []canceller
 	nextID := 0
@@ -224,7 +230,7 @@ func runScript(s scheduler, script []op) (log []fireRec, final Time) {
 				if h%8 == 0 {
 					handles = append(handles, s.At(s.Now()+d, child))
 				} else {
-					s.Schedule(s.Now()+d, child)
+					s.At(s.Now()+d, child)
 				}
 			}
 		}
@@ -238,8 +244,8 @@ func runScript(s scheduler, script []op) (log []fireRec, final Time) {
 		switch o.kind {
 		case opAt, opAfter: // both resolve to an absolute time pre-run
 			handles = append(handles, s.At(s.Now()+o.delay, newEvent()))
-		case opSchedule, opScheduleAfter:
-			s.Schedule(s.Now()+o.delay, newEvent())
+		case opAtDropped, opAfterDropped:
+			s.At(s.Now()+o.delay, newEvent())
 		case opCancel:
 			if len(handles) > 0 {
 				handles[int(o.arg)%len(handles)].Cancel()
@@ -313,19 +319,19 @@ func directedSchedulerCases() []struct {
 	}{
 		// Ten events on the same tick: pure seq-order FIFO.
 		{"same-tick-ties", []byte{
-			opAt, 0, 0, 3, opSchedule, 0, 0, 3, opAt, 0, 0, 3, opSchedule, 0, 0, 3,
-			opAt, 0, 0, 3, opSchedule, 0, 0, 3, opAt, 0, 0, 3, opSchedule, 0, 0, 3,
-			opAt, 0, 0, 3, opSchedule, 0, 0, 3,
+			opAt, 0, 0, 3, opAtDropped, 0, 0, 3, opAt, 0, 0, 3, opAtDropped, 0, 0, 3,
+			opAt, 0, 0, 3, opAtDropped, 0, 0, 3, opAt, 0, 0, 3, opAtDropped, 0, 0, 3,
+			opAt, 0, 0, 3, opAtDropped, 0, 0, 3,
 		}},
 		// Sub-resolution deltas inside one slot must still fire by (when, seq).
 		{"sub-slot-order", []byte{
-			opAt, 40, 0, 0, opAt, 10, 0, 0, opSchedule, 30, 0, 0, opAt, 10, 0, 0,
-			opSchedule, 0, 0, 0, opAt, 25, 0, 0,
+			opAt, 40, 0, 0, opAt, 10, 0, 0, opAtDropped, 30, 0, 0, opAt, 10, 0, 0,
+			opAtDropped, 0, 0, 0, opAt, 25, 0, 0,
 		}},
 		// Far-future events beyond the wheel horizon, interleaved with near.
 		{"overflow-promotion", []byte{
-			opAt, 0xff, 0xff, 2, opSchedule, 1, 0, 1, opAt, 0xff, 0xff, 2,
-			opSchedule, 0xff, 0xff, 2, opAt, 5, 0, 1, opRunFor, 0xff, 0xff, 2,
+			opAt, 0xff, 0xff, 2, opAtDropped, 1, 0, 1, opAt, 0xff, 0xff, 2,
+			opAtDropped, 0xff, 0xff, 2, opAt, 5, 0, 1, opRunFor, 0xff, 0xff, 2,
 		}},
 		// Cancel queued handles, then reschedule at the cancelled times.
 		{"cancel-reschedule", []byte{
@@ -336,18 +342,26 @@ func directedSchedulerCases() []struct {
 		// Run bursts that leave the queue non-empty between ops.
 		{"run-bursts", []byte{
 			opAt, 10, 0, 1, opAt, 0xe8, 3, 1, opRunFor, 0x64, 0, 1,
-			opSchedule, 10, 0, 1, opRunFor, 0x64, 0, 1, opAt, 1, 0, 2,
+			opAtDropped, 10, 0, 1, opRunFor, 0x64, 0, 1, opAt, 1, 0, 2,
 		}},
 		// Bulk fan-out, as campus construction and the fault engine make
-		// it: runs of Schedule calls landing on one future wheel tick, a
-		// retained-handle At and a later time inside the same tick, at-now
-		// and overflow entries in between, then more fan-out after a run
-		// burst has moved the clock.
+		// it: runs of dropped-handle calls landing on one future wheel
+		// tick, a retained-handle At and a later time inside the same tick,
+		// at-now and overflow entries in between, then more fan-out after a
+		// run burst has moved the clock.
 		{"bulk-fanout", []byte{
-			opSchedule, 0xe8, 3, 1, opSchedule, 0xe8, 3, 1, opAt, 0xe8, 3, 1,
-			opSchedule, 0xe9, 3, 1, opScheduleAfter, 0xe8, 3, 1, opSchedule, 0, 0, 3,
-			opSchedule, 0xff, 0xff, 2, opSchedule, 0xe8, 3, 1, opRunFor, 0x40, 0, 1,
-			opSchedule, 0xe8, 3, 1, opScheduleAfter, 0xe8, 3, 1, opAt, 0xe9, 3, 1,
+			opAtDropped, 0xe8, 3, 1, opAtDropped, 0xe8, 3, 1, opAt, 0xe8, 3, 1,
+			opAtDropped, 0xe9, 3, 1, opAfterDropped, 0xe8, 3, 1, opAtDropped, 0, 0, 3,
+			opAtDropped, 0xff, 0xff, 2, opAtDropped, 0xe8, 3, 1, opRunFor, 0x40, 0, 1,
+			opAtDropped, 0xe8, 3, 1, opAfterDropped, 0xe8, 3, 1, opAt, 0xe9, 3, 1,
+		}},
+		// The kernel's first Timer (seq 0) goes stale: its event fires, its
+		// struct is reissued, fires again and is recycled, so it sits zeroed
+		// on the freelist — and a zeroed struct carries seq 0 too. Cancelling
+		// the stale Timer there must not cancel the At that reissues it next.
+		{"stale-first-handle", []byte{
+			opAt, 10, 0, 0, opRunFor, 100, 0, 1, opAfterDropped, 10, 0, 0,
+			opRunFor, 100, 0, 1, opCancel, 0, 0, 0, opAt, 10, 0, 0,
 		}},
 	}
 }

@@ -72,7 +72,7 @@ func (k *Kernel) MixDigest(kind string, data []byte) {
 
 // mixEvent folds one fired event into the digest: its virtual time and its
 // scheduling sequence number (which captures causal ordering exactly).
-func (k *Kernel) mixEvent(e *Event) {
+func (k *Kernel) mixEvent(e *event) {
 	k.digest.mixed++
 	k.digest.mixUint64(uint64(e.when))
 	k.digest.mixUint64(e.seq)

@@ -32,7 +32,7 @@ func BenchmarkKernelEventsPerSec(b *testing.B) {
 			var storm func()
 			storm = func() {
 				n++
-				k.ScheduleAfter(stormDelay(n), storm)
+				k.After(stormDelay(n), storm)
 			}
 			for i := 0; i < depth; i++ {
 				storm()
@@ -90,7 +90,7 @@ func BenchmarkKernelSoak(b *testing.B) {
 	var storm func()
 	storm = func() {
 		n++
-		k.ScheduleAfter(stormDelay(n), storm)
+		k.After(stormDelay(n), storm)
 	}
 	for i := 0; i < 4096; i++ {
 		storm()

@@ -8,6 +8,10 @@
 // given seed and very fast — a simulated minute of 802.11 traffic executes in
 // milliseconds.
 //
+// At and After are the only ways to schedule. Both take the event struct
+// from a per-kernel freelist and return a Timer; the struct goes back to the
+// freelist once it fires or, cancelled, is dropped from the queue.
+//
 // A kernel is deliberately single-goroutine: one World, one serial event
 // loop, so protocol code stays free of locks and results reproducible.
 // Parallelism happens *across* independent kernels (see core.Sweep).
@@ -54,36 +58,38 @@ func (t Time) Sub(u Time) Time { return t - u }
 // String formats the timestamp with time.Duration semantics.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event is a scheduled callback. Events fire in timestamp order; ties break
+// event is a scheduled callback. Events fire in timestamp order; ties break
 // by scheduling order (FIFO), which keeps causally related events stable.
-type Event struct {
+// Every event comes from the kernel freelist and returns to it once it has
+// fired or been dropped; callers hold a Timer, never the struct.
+type event struct {
 	when Time
-	seq  uint64 // tie-break: insertion order
+	seq  uint64 // tie-break: insertion order; unique per kernel, never reused
 	fn   func()
 	// cancelled events remain queued but are skipped when they surface.
 	cancelled bool
-	// pooled events came from the kernel freelist (Schedule/ScheduleAfter)
-	// and are recycled after firing. Events whose *Event handle escapes to a
-	// caller (At/After) are never pooled: the caller may hold the handle past
-	// the fire and a recycled struct would alias a live timer.
-	pooled bool
 }
 
-// When reports the virtual time at which the event is scheduled to fire.
-func (e *Event) When() Time { return e.when }
+// Timer is the cancellable handle At and After return. It names one
+// scheduling of an event struct by its seq, so a Timer kept past the fire
+// can never touch the struct once the freelist has reissued it.
+type Timer struct {
+	e   *event
+	seq uint64
+}
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. Cancel is O(1); the event is lazily
+// Cancel prevents the event from firing. It acts only while the event still
+// carries the timer's seq and its callback is still queued: cancelling a
+// fired, dropped or already-cancelled event, or the zero Timer, is a no-op.
+// The fn check matters for recycled structs, which are zeroed and so carry
+// seq 0 like the kernel's first timer. Cancel is O(1); the event is lazily
 // discarded when its wheel slot is loaded or it surfaces at a heap top.
-func (e *Event) Cancel() {
-	if e != nil {
+func (t Timer) Cancel() {
+	if e := t.e; e != nil && e.seq == t.seq && e.fn != nil {
 		e.cancelled = true
 		e.fn = nil // release closure for GC
 	}
 }
-
-// Cancelled reports whether Cancel has been called on the event.
-func (e *Event) Cancelled() bool { return e != nil && e.cancelled }
 
 // Kernel is a discrete-event simulator instance: a virtual clock, a
 // time-wheel event queue (see wheel.go), and a deterministic random source.
@@ -93,20 +99,18 @@ type Kernel struct {
 	// events at or before the cursor tick; slots/occ/wheelCount are the
 	// fixed-resolution wheel for the near-future window; overflow is the
 	// far-future heap that drains into the wheel as the cursor advances.
-	cur        []*Event
-	slots      [][]*Event
+	cur        []*event
+	slots      [][]*event
 	occ        [occWords]uint64
 	wheelCount int
 	cursor     int64
-	overflow   []*Event
+	overflow   []*event
 
 	seq     uint64
 	rng     *RNG
 	stopped bool
 	// Stats
 	fired uint64
-	// Tracer, if non-nil, receives a line for each significant kernel action.
-	Tracer Tracer
 	// digest is the streaming trace hash (see digest.go).
 	digest traceDigest
 	// invariants are the registered per-event-boundary checks (invariant.go);
@@ -116,10 +120,10 @@ type Kernel struct {
 	// OnViolation, if non-nil, receives invariant violations instead of the
 	// default panic. Tests install it to report violations as failures.
 	OnViolation func(*InvariantViolation)
-	// freeEvents is the freelist for pooled (handle-less) events. Plain LIFO,
-	// no sync.Pool: the kernel is single-goroutine and reuse order must be a
-	// pure function of the event sequence.
-	freeEvents []*Event
+	// freeEvents is the event freelist. Plain LIFO, no sync.Pool: the kernel
+	// is single-goroutine and reuse order must be a pure function of the
+	// event sequence.
+	freeEvents []*event
 	// eventAllocs/eventReuses count freelist traffic (tests, diagnostics).
 	eventAllocs uint64
 	eventReuses uint64
@@ -169,36 +173,10 @@ func (k *Kernel) Fired() uint64 { return k.fired }
 // have not yet been discarded).
 func (k *Kernel) Pending() int { return len(k.cur) + k.wheelCount + len(k.overflow) }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// (t < Now) panics: it would violate causality and always indicates a bug in
-// protocol code.
-func (k *Kernel) At(t Time, fn func()) *Event {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling into the past: now=%v t=%v", k.now, t))
-	}
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	e := &Event{when: t, seq: k.seq, fn: fn}
-	k.seq++
-	k.insert(e)
-	return e
-}
-
-// After schedules fn to run d after the current time.
-func (k *Kernel) After(d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return k.At(k.now+d, fn)
-}
-
-// Schedule is the handle-less, pooled variant of At: the Event struct comes
-// from the kernel's freelist and returns to it right after fn fires, so
-// fire-and-forget call sites (frame deliveries, transmit completions) stop
-// allocating an Event per packet. Because the struct is recycled, Schedule
-// returns nothing — use At when the caller needs to Cancel.
-func (k *Kernel) Schedule(t Time, fn func()) {
+// At schedules fn to run at absolute virtual time t and returns a Timer
+// that can cancel it. Scheduling in the past (t < Now) panics: it would
+// violate causality and always indicates a bug in protocol code.
+func (k *Kernel) At(t Time, fn func()) Timer {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: now=%v t=%v", k.now, t))
 	}
@@ -209,21 +187,21 @@ func (k *Kernel) Schedule(t Time, fn func()) {
 	e.when = t
 	e.seq = k.seq
 	e.fn = fn
-	e.pooled = true
 	k.seq++
 	k.insert(e)
+	return Timer{e, e.seq}
 }
 
-// ScheduleAfter is the handle-less, pooled variant of After.
-func (k *Kernel) ScheduleAfter(d Time, fn func()) {
+// After schedules fn to run d after the current time.
+func (k *Kernel) After(d Time, fn func()) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	k.Schedule(k.now+d, fn)
+	return k.At(k.now+d, fn)
 }
 
-// getEvent takes an Event from the freelist, or allocates one.
-func (k *Kernel) getEvent() *Event {
+// getEvent takes a zeroed event from the freelist, or allocates one.
+func (k *Kernel) getEvent() *event {
 	if n := len(k.freeEvents); n > 0 {
 		e := k.freeEvents[n-1]
 		k.freeEvents[n-1] = nil
@@ -232,20 +210,28 @@ func (k *Kernel) getEvent() *Event {
 		return e
 	}
 	k.eventAllocs++
-	return &Event{}
+	return &event{}
 }
 
-// EventAllocs reports how many pooled events were freshly allocated.
+// recycle zeroes an event that has fired or been dropped and returns it to
+// the freelist. A Timer still naming it no longer matches: the zeroed struct
+// has no fn, and a reissued one carries a new seq.
+func (k *Kernel) recycle(e *event) {
+	*e = event{}
+	k.freeEvents = append(k.freeEvents, e)
+}
+
+// EventAllocs reports how many events were freshly allocated.
 func (k *Kernel) EventAllocs() uint64 { return k.eventAllocs }
 
-// EventReuses reports how many pooled events were served from the freelist.
+// EventReuses reports how many events were served from the freelist.
 func (k *Kernel) EventReuses() uint64 { return k.eventReuses }
 
 // Stop halts Run/RunUntil after the currently executing event returns, and
-// drains the event queue in O(pending): remaining events are dropped (their
-// closures released for GC) and pooled ones are recycled into the freelist.
-// A stopped kernel never runs again, so a kernel with thousands of queued
-// events stops promptly instead of popping each one through the scheduler.
+// drains the event queue in O(pending): remaining events are dropped and
+// recycled into the freelist. A stopped kernel never runs again, so a kernel
+// with thousands of queued events stops promptly instead of popping each one
+// through the scheduler.
 func (k *Kernel) Stop() {
 	k.stopped = true
 	k.drainQueue()
@@ -270,12 +256,9 @@ func (k *Kernel) step() bool {
 	k.fired++
 	k.mixEvent(e)
 	fn()
-	if e.pooled {
-		// Recycle after fn returns: nothing holds a handle to a pooled
-		// event, so the struct can be reissued by the next Schedule.
-		*e = Event{}
-		k.freeEvents = append(k.freeEvents, e)
-	}
+	// Recycle only after fn returns, so an event scheduled from inside fn
+	// never reuses the struct that is still firing.
+	k.recycle(e)
 	if k.checkInvariants {
 		k.runInvariants()
 	}
@@ -314,24 +297,3 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 
 // RunFor executes events for a span d of virtual time starting now.
 func (k *Kernel) RunFor(d Time) uint64 { return k.RunUntil(k.now + d) }
-
-// Tracer receives human-readable trace lines from the kernel and from
-// protocol modules that choose to log. A nil Tracer is silent.
-type Tracer interface {
-	Trace(t Time, component, format string, args ...any)
-}
-
-// Tracef logs through the kernel's tracer, if any.
-func (k *Kernel) Tracef(component, format string, args ...any) {
-	if k.Tracer != nil {
-		k.Tracer.Trace(k.now, component, format, args...)
-	}
-}
-
-// FuncTracer adapts a print-style function into a Tracer.
-type FuncTracer func(t Time, component, format string, args ...any)
-
-// Trace implements Tracer.
-func (f FuncTracer) Trace(t Time, component, format string, args ...any) {
-	f(t, component, format, args...)
-}

@@ -21,18 +21,17 @@ import (
 //   - Imminent events — at or before the cursor tick — go to a small binary
 //     heap (cur), ordered by (when, seq). When the cursor reaches a slot its
 //     events move into cur in one batch; events scheduled mid-fire for the
-//     current tick (Schedule at now) join cur directly, so the exact
-//     (when, seq) fire order of the reference heap is preserved even though
-//     most events never touch a heap.
+//     current tick (an At at now) join cur directly, so the exact (when,
+//     seq) fire order of the reference heap is preserved even though most
+//     events never touch a heap.
 //   - Far-future events — beyond the window — overflow to a second small
 //     heap and are promoted into slots as the cursor advances. Promotion
 //     pops in (when, seq) order, so same-tick overflow events arrive in
 //     their slot in seq order like directly inserted ones.
 //
 // Cancel stays lazy everywhere: cancelled events are dropped when their slot
-// is loaded or when they surface at the top of a heap. Only At/After events
-// can be cancelled (Schedule returns no handle), and those are never pooled,
-// so a dropped cancelled event is simply garbage.
+// is loaded or when they surface at the top of a heap, and every drop site
+// recycles the struct into the freelist, as a fire does.
 //
 // The occupancy bitmap makes "next non-empty slot" a word scan instead of a
 // slot scan; when the wheel is empty the cursor jumps straight to the
@@ -58,7 +57,7 @@ func tickOf(t Time) int64 { return int64(t) >> slotShift }
 
 // eventLess is the scheduler's total order: fire time, then scheduling
 // sequence (FIFO for ties). seq is unique, so the order is strict.
-func eventLess(a, b *Event) bool {
+func eventLess(a, b *event) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
@@ -66,7 +65,7 @@ func eventLess(a, b *Event) bool {
 }
 
 // heapPush inserts e into the (when, seq) min-heap h.
-func heapPush(h *[]*Event, e *Event) {
+func heapPush(h *[]*event, e *event) {
 	q := append(*h, e)
 	i := len(q) - 1
 	for i > 0 {
@@ -81,7 +80,7 @@ func heapPush(h *[]*Event, e *Event) {
 }
 
 // heapPop removes and returns the minimum of h.
-func heapPop(h *[]*Event) *Event {
+func heapPop(h *[]*event) *event {
 	q := *h
 	min := q[0]
 	n := len(q) - 1
@@ -111,7 +110,7 @@ func heapPop(h *[]*Event) *Event {
 
 // insert places a newly scheduled event into the tier its timestamp calls
 // for. The caller has already assigned when/seq and validated causality.
-func (k *Kernel) insert(e *Event) {
+func (k *Kernel) insert(e *event) {
 	tk := tickOf(e.when)
 	switch {
 	case tk <= k.cursor:
@@ -121,7 +120,7 @@ func (k *Kernel) insert(e *Event) {
 			// Lazy slot table: ~100 KB per kernel, paid only once an event
 			// actually lands in the wheel window. Kernels that stay in the
 			// imminent heap or overflow tier never allocate it.
-			k.slots = make([][]*Event, wheelSlots)
+			k.slots = make([][]*event, wheelSlots)
 		}
 		s := tk & wheelMask
 		k.slots[s] = append(k.slots[s], e)
@@ -151,7 +150,9 @@ func (k *Kernel) loadSlot() {
 	}
 	k.wheelCount -= len(slot)
 	for i, e := range slot {
-		if !e.cancelled {
+		if e.cancelled {
+			k.recycle(e)
+		} else {
 			heapPush(&k.cur, e)
 		}
 		slot[i] = nil
@@ -202,11 +203,12 @@ func (k *Kernel) advance() {
 
 // nextEvent pops the earliest live event, discarding cancelled ones, or
 // returns nil when the queue is empty.
-func (k *Kernel) nextEvent() *Event {
+func (k *Kernel) nextEvent() *event {
 	for {
 		for len(k.cur) > 0 {
 			e := heapPop(&k.cur)
 			if e.cancelled {
+				k.recycle(e)
 				continue
 			}
 			return e
@@ -225,7 +227,7 @@ func (k *Kernel) peekWhen() (Time, bool) {
 	for {
 		for len(k.cur) > 0 {
 			if k.cur[0].cancelled {
-				heapPop(&k.cur)
+				k.recycle(heapPop(&k.cur))
 				continue
 			}
 			return k.cur[0].when, true
@@ -237,18 +239,13 @@ func (k *Kernel) peekWhen() (Time, bool) {
 	}
 }
 
-// drainQueue empties every tier in O(pending), recycling pooled events into
+// drainQueue empties every tier in O(pending), recycling every event into
 // the freelist so a stopping kernel with thousands of queued events neither
 // walks them through a heap one pop at a time nor leaks its event pool.
 func (k *Kernel) drainQueue() {
-	drain := func(list []*Event) {
+	drain := func(list []*event) {
 		for i, e := range list {
-			if e.pooled {
-				*e = Event{}
-				k.freeEvents = append(k.freeEvents, e)
-			} else {
-				e.fn = nil
-			}
+			k.recycle(e)
 			list[i] = nil
 		}
 	}

@@ -10,15 +10,15 @@ import (
 // steady-state slot storage.
 
 // TestStopDrainsQueuedEvents pins the O(n) drain: a kernel with thousands of
-// queued events — pooled, handle-held, and cancelled — must empty its queue
-// on Stop and recycle every pooled event into the freelist for reuse.
+// queued events — live and cancelled — must empty its queue on Stop and
+// recycle every event into the freelist for reuse.
 func TestStopDrainsQueuedEvents(t *testing.T) {
 	k := NewKernel(1)
 	const n = 5000
 	for i := 0; i < n; i++ {
 		// Spread across all tiers: imminent, wheel slots, and overflow.
 		d := Time(i) * 37 * Microsecond
-		k.Schedule(d, func() { t.Error("drained event fired") })
+		k.At(d, func() { t.Error("drained event fired") })
 		e := k.At(d+Microsecond, func() { t.Error("drained event fired") })
 		if i%3 == 0 {
 			e.Cancel()
@@ -29,8 +29,8 @@ func TestStopDrainsQueuedEvents(t *testing.T) {
 	if p := k.Pending(); p != 0 {
 		t.Fatalf("Pending() = %d after Stop, want 0", p)
 	}
-	if got := len(k.freeEvents); got != n {
-		t.Fatalf("freelist holds %d events after drain, want %d pooled events recycled", got, n)
+	if got := len(k.freeEvents); got != 2*n {
+		t.Fatalf("freelist holds %d events after drain, want all %d recycled", got, 2*n)
 	}
 	if k.EventAllocs() != allocsBefore {
 		t.Fatalf("drain allocated events: %d -> %d", allocsBefore, k.EventAllocs())
@@ -45,7 +45,7 @@ func TestStopDrainsQueuedEvents(t *testing.T) {
 func TestStopDuringRunDrains(t *testing.T) {
 	k := NewKernel(1)
 	for i := 1; i <= 3000; i++ {
-		k.Schedule(Time(i)*Millisecond, func() {})
+		k.At(Time(i)*Millisecond, func() {})
 	}
 	fired := 0
 	k.At(500*Microsecond, func() { fired++; k.Stop() })
@@ -56,32 +56,32 @@ func TestStopDuringRunDrains(t *testing.T) {
 	if p := k.Pending(); p != 0 {
 		t.Fatalf("Pending() = %d after mid-run Stop, want 0", p)
 	}
-	// The 3000 queued pooled events plus the one that fired all recycle.
-	if got := len(k.freeEvents); got != 3000 {
-		t.Fatalf("freelist holds %d events, want 3000", got)
+	// The 3000 queued events plus the one that fired all recycle.
+	if got := len(k.freeEvents); got != 3001 {
+		t.Fatalf("freelist holds %d events, want 3001", got)
 	}
 }
 
-// TestCancelThenReuse pins the cancel/freelist interaction: cancelling a
-// handle event must neither fire it nor disturb pooled-event recycling, and
-// the pooled structs recycled around it must be reusable immediately.
+// TestCancelThenReuse pins the cancel/freelist interaction: a cancelled event
+// must not fire, must recycle like the events around it, and every recycled
+// struct must be reusable immediately.
 func TestCancelThenReuse(t *testing.T) {
 	k := NewKernel(1)
 	k.SetInvariantChecks(true)
 	fired := []string{}
 	e := k.At(2*Millisecond, func() { fired = append(fired, "cancelled") })
-	k.Schedule(Millisecond, func() { fired = append(fired, "a") })
+	k.At(Millisecond, func() { fired = append(fired, "a") })
 	e.Cancel()
-	k.Schedule(3*Millisecond, func() { fired = append(fired, "b") })
+	k.At(3*Millisecond, func() { fired = append(fired, "b") })
 	k.Run()
-	// Pooled structs from a and b are back on the freelist; reuse them.
-	k.Schedule(k.Now(), func() { fired = append(fired, "c") })
+	// The structs of a, b and the cancelled event are back on the freelist.
+	k.At(k.Now(), func() { fired = append(fired, "c") })
 	k.Run()
 	if want := "a,b,c"; join(fired) != want {
 		t.Fatalf("fired %q, want %q", join(fired), want)
 	}
-	if k.EventAllocs() != 2 {
-		t.Fatalf("event allocs = %d, want 2 (cancel must not block reuse)", k.EventAllocs())
+	if k.EventAllocs() != 3 {
+		t.Fatalf("event allocs = %d, want 3 (cancel must not block reuse)", k.EventAllocs())
 	}
 }
 
@@ -105,7 +105,7 @@ func TestScheduleAtNowSameSlot(t *testing.T) {
 	var order []int
 	k.At(Millisecond, func() {
 		order = append(order, 1)
-		k.Schedule(k.Now(), func() { order = append(order, 2) })
+		k.At(k.Now(), func() { order = append(order, 2) })
 	})
 	// Same slot as the 1ms event (sub-resolution delta), later tie-break.
 	k.At(Millisecond+Nanosecond, func() { order = append(order, 3) })
@@ -149,7 +149,7 @@ func TestWheelSlotSteadyState(t *testing.T) {
 	chain = func() {
 		// Jittered delays touch a spread of slots and, over a round, every
 		// slot index as the cursor wraps the wheel.
-		k.ScheduleAfter(200*Microsecond+k.RNG().Jitter(4*Millisecond), chain)
+		k.After(200*Microsecond+k.RNG().Jitter(4*Millisecond), chain)
 	}
 	const chains = 32
 	for i := 0; i < chains; i++ {
@@ -168,9 +168,9 @@ func TestWheelSlotSteadyState(t *testing.T) {
 			return
 		}
 		for i := 0; i < chains; i++ {
-			k.Schedule(k.Now()+Time(1)<<slotShift, func() {})
+			k.At(k.Now()+Time(1)<<slotShift, func() {})
 		}
-		k.ScheduleAfter(Time(1)<<slotShift, warmup)
+		k.After(Time(1)<<slotShift, warmup)
 	}
 	warmup()
 	round := func() { k.RunFor(200 * Millisecond) } // > one wheel revolution
@@ -206,12 +206,12 @@ func TestSlotTableLazy(t *testing.T) {
 	if k.slots != nil {
 		t.Fatal("NewKernel allocated the slot table eagerly")
 	}
-	k.Schedule(0, func() {})                             // imminent tier
-	k.Schedule(Time(2)<<slotShift*wheelSlots, func() {}) // overflow tier
+	k.At(0, func() {})                             // imminent tier
+	k.At(Time(2)<<slotShift*wheelSlots, func() {}) // overflow tier
 	if k.slots != nil {
 		t.Fatal("imminent/overflow inserts allocated the slot table")
 	}
-	k.Schedule(Time(1)<<slotShift, func() {}) // first in-window event
+	k.At(Time(1)<<slotShift, func() {}) // first in-window event
 	if k.slots == nil {
 		t.Fatal("in-window insert did not allocate the slot table")
 	}

@@ -104,7 +104,7 @@ type Conn struct {
 	eofFired bool
 
 	// Timers.
-	rtxTimer   *sim.Event
+	rtxTimer   sim.Timer
 	rtxRetries int
 	synTries   int
 
@@ -242,10 +242,7 @@ func (c *Conn) trySend() {
 }
 
 func (c *Conn) armRetransmit() {
-	if c.rtxTimer != nil {
-		c.rtxTimer.Cancel()
-		c.rtxTimer = nil
-	}
+	c.rtxTimer.Cancel()
 	if c.inflight() == 0 {
 		c.rtxRetries = 0
 		return
@@ -331,7 +328,7 @@ func (c *Conn) handle(s segment) {
 				c.mss = int(s.mss)
 			}
 			c.state = StateEstablished
-			c.cancelSYNTimer()
+			c.rtxTimer.Cancel()
 			c.sendSegment(segment{flags: flagACK, seq: c.sndNxt, ack: c.rcvNxt})
 			if c.OnConnect != nil {
 				c.OnConnect()
@@ -349,7 +346,7 @@ func (c *Conn) handle(s segment) {
 			c.sndUna = s.ack
 			c.peerWnd = uint32(s.window)
 			c.state = StateEstablished
-			c.cancelSYNTimer()
+			c.rtxTimer.Cancel()
 			if c.onEstablished != nil {
 				c.onEstablished(c)
 				c.onEstablished = nil
@@ -550,18 +547,11 @@ func (c *Conn) maybeFinishClose() {
 		}
 		if c.state != StateTimeWait {
 			c.state = StateTimeWait
-			c.kernel().ScheduleAfter(timeWaitDur, func() { c.teardown(nil) })
+			c.kernel().After(timeWaitDur, func() { c.teardown(nil) })
 			// Report graceful completion now; the socket lingers only
 			// for late segments.
 			c.fireClose(nil)
 		}
-	}
-}
-
-func (c *Conn) cancelSYNTimer() {
-	if c.rtxTimer != nil {
-		c.rtxTimer.Cancel()
-		c.rtxTimer = nil
 	}
 }
 
@@ -583,9 +573,7 @@ func (c *Conn) teardown(err error) {
 	c.closed = true
 	c.closeErr = err
 	c.state = StateClosed
-	if c.rtxTimer != nil {
-		c.rtxTimer.Cancel()
-	}
+	c.rtxTimer.Cancel()
 	c.stack.removeConn(c)
 	c.fireClose(err)
 }

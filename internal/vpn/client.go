@@ -93,7 +93,7 @@ type Client struct {
 	tunnelIP inet.Addr
 	sendMsg  func(msg []byte)
 	abort    func()
-	timeout  *sim.Event
+	timeout  sim.Timer
 
 	// Self-healing state (only active when cfg.Keepalive > 0). The DPD loop
 	// and the reconnect ladder are the shared peer machinery (peer.go), so
@@ -266,9 +266,9 @@ func ConnectUDP(ip *ipv4.Stack, u *udp.Stack, cfg ClientConfig) (*Client, error)
 			if lastMsg != nil {
 				_ = sock.SendTo(cfg.Server, lastMsg[2:])
 			}
-			ip.Kernel().ScheduleAfter(sim.Second, func() { retry(n + 1) })
+			ip.Kernel().After(sim.Second, func() { retry(n + 1) })
 		}
-		ip.Kernel().ScheduleAfter(sim.Second, func() { retry(0) })
+		ip.Kernel().After(sim.Second, func() { retry(0) })
 	}
 	c.redial = func() {
 		c.hsGen++
@@ -319,9 +319,7 @@ func (c *Client) fail(err error) {
 		return
 	}
 	c.state = stateDown
-	if c.timeout != nil {
-		c.timeout.Cancel()
-	}
+	c.timeout.Cancel()
 	c.ka.stop()
 	if c.abort != nil {
 		c.abort()
@@ -396,9 +394,7 @@ func (c *Client) handleMsg(msg []byte) {
 // rekey the device, routes and (normally) the address already exist, so it
 // only flips the state back to up.
 func (c *Client) bringUp(prefix inet.Prefix) {
-	if c.timeout != nil {
-		c.timeout.Cancel()
-	}
+	c.timeout.Cancel()
 	if c.tun == nil {
 		c.tun = newTunNIC(ethernet.MAC{0x02, 0xf0, 0x0d, 0x00, 0x02, 0x00}, func(ipPacket []byte) {
 			c.PacketsOut++
@@ -472,7 +468,7 @@ func (c *Client) scheduleReconnect() {
 		c.rng = c.ip.Kernel().RNG().Fork()
 	}
 	d := c.bo.next(c.rng)
-	c.ip.Kernel().ScheduleAfter(d, func() {
+	c.ip.Kernel().After(d, func() {
 		if c.state != stateIdle {
 			return
 		}

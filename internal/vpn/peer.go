@@ -56,7 +56,7 @@ type dpd struct {
 	interval sim.Time
 	timeout  sim.Time
 	lastRx   sim.Time
-	timer    *sim.Event
+	timer    sim.Timer
 
 	live    func() bool // still worth probing?
 	probe   func()      // send one sealed probe (nil on the passive side)
@@ -78,9 +78,7 @@ func (d *dpd) start() {
 
 // stop cancels the pending probe timer.
 func (d *dpd) stop() {
-	if d.timer != nil {
-		d.timer.Cancel()
-	}
+	d.timer.Cancel()
 }
 
 func (d *dpd) tick() {
@@ -231,7 +229,7 @@ type peer struct {
 
 	send    func(msg []byte)
 	abort   func()
-	timeout *sim.Event
+	timeout sim.Timer
 
 	ka  dpd
 	rng *sim.RNG
@@ -310,14 +308,12 @@ func (p *peer) retry() {
 	if p.state == stateDown || p.redial == nil {
 		return
 	}
-	if p.timeout != nil {
-		p.timeout.Cancel()
-	}
+	p.timeout.Cancel()
 	if p.rng == nil {
 		p.rng = p.k.RNG().Fork()
 	}
 	d := p.bo.next(p.rng)
-	p.k.ScheduleAfter(d, func() {
+	p.k.After(d, func() {
 		if p.state != stateIdle {
 			return
 		}
@@ -334,9 +330,7 @@ func (p *peer) peerDead() {
 	p.PeerTimeouts++
 	p.state = stateIdle
 	p.ka.stop()
-	if p.timeout != nil {
-		p.timeout.Cancel()
-	}
+	p.timeout.Cancel()
 	p.gen++ // orphan the carrier: its late callbacks are ignored
 	if p.abort != nil {
 		p.abort()
@@ -354,9 +348,7 @@ func (p *peer) peerDead() {
 
 // up completes the handshake on either side.
 func (p *peer) up() {
-	if p.timeout != nil {
-		p.timeout.Cancel()
-	}
+	p.timeout.Cancel()
 	p.state = stateUp
 	p.bo.reset()
 	p.ka.start()
