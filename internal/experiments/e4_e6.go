@@ -107,7 +107,7 @@ func E4FMSCrack(s Scale) Table {
 			for i := 0; i < 200000; i++ {
 				iv := src.NextIV()
 				var k0 byte
-				if wep.IsWeakIV(iv, wep.KeySize40) {
+				if iv.IsWeak(wep.KeySize40) {
 					k0 = wep.FirstKeystreamByte(kc.key, iv)
 				}
 				c.AddSample(wep.Sample{IV: iv, K0: k0})

@@ -15,7 +15,7 @@ import (
 // from-scratch computation. These references ARE that obvious computation:
 // fmsVoteRef materialises the full 256-entry S-box per sample, and
 // voteByteRef recounts every sample and ranks all 256 candidates with a
-// stable selection sort.
+// stable sort.
 
 // fmsVoteRef is the straightforward full-array FMS vote.
 func fmsVoteRef(iv IV, prefix Key, k0 byte) (byte, bool) {
@@ -64,16 +64,58 @@ func voteByteRef(samples []Sample, prefix Key) ([]byte, int) {
 	for i := range ranked {
 		ranked[i] = byte(i)
 	}
-	for i := 0; i < len(ranked); i++ {
-		best := i
-		for j := i + 1; j < len(ranked); j++ {
-			if votes[ranked[j]] > votes[ranked[best]] {
-				best = j
+	sort.SliceStable(ranked, func(i, j int) bool {
+		return votes[ranked[i]] > votes[ranked[j]]
+	})
+	return ranked, total
+}
+
+// recoverRef is the from-scratch recovery RecoverKey must reproduce: the
+// plurality key, then a width-3 depth-first search over each byte's top
+// candidates under a budget of 256·keyLen nodes, with every node ranked by
+// voteByteRef. samples[b] holds key byte b's weak samples.
+func recoverRef(samples [][]Sample, verify func(Key) bool) (Key, error) {
+	keyLen := len(samples)
+	var key Key
+	for b := 0; b < keyLen; b++ {
+		ranked, total := voteByteRef(samples[b], key)
+		if total < minVotes {
+			return nil, ErrNotEnough
+		}
+		key = append(key, ranked[0])
+	}
+	if verify(key) {
+		return key, nil
+	}
+	budget := 256 * keyLen
+	var search func(prefix Key) Key
+	search = func(prefix Key) Key {
+		if budget <= 0 {
+			return nil
+		}
+		budget--
+		b := len(prefix)
+		if b == keyLen {
+			if verify(prefix) {
+				return prefix
+			}
+			return nil
+		}
+		ranked, total := voteByteRef(samples[b], prefix)
+		if total < minVotes {
+			return nil
+		}
+		for _, cand := range ranked[:3] {
+			if k := search(append(prefix[:b:b], cand)); k != nil {
+				return k
 			}
 		}
-		ranked[i], ranked[best] = ranked[best], ranked[i]
+		return nil
 	}
-	return ranked, total
+	if k := search(Key{}); k != nil {
+		return k, nil
+	}
+	return nil, ErrNotEnough
 }
 
 // TestFMSVoteMatchesReference drives the sparse-overlay fmsVote against the
@@ -244,6 +286,60 @@ func TestRecoverKeyMatchesFromScratch(t *testing.T) {
 	t.Fatal("key never recovered within the stream budget")
 }
 
+// TestSearchMatchesReference replays E4's 104-bit capture stream into one
+// long-lived cracker and, after every burst, into recoverRef over the same
+// samples. The backtracking search must ask Verify the same candidates in
+// the same order and reach the same outcome as the from-scratch reference:
+// the sibling vote tables, the standing tables left on the plurality prefix
+// and the one-scan ranking are all exact.
+func TestSearchMatchesReference(t *testing.T) {
+	const attempts = 12
+	verify := e4Verify(e4Key)
+	var got, want []byte // every Verify candidate of one attempt, in order
+	recording := func(log *[]byte) func(Key) bool {
+		return func(k Key) bool {
+			*log = append(*log, k...)
+			return verify(k)
+		}
+	}
+	c := NewCracker(len(e4Key))
+	c.Verify = recording(&got)
+	samples := make([][]Sample, len(e4Key))
+	rng := sim.NewRNG(4)
+	var burst []Sample
+	searched := 0
+	for a := 0; a < attempts; a++ {
+		burst = e4Burst(rng, e4Key, burst[:0])
+		for _, s := range burst {
+			c.AddSample(s)
+			b := int(s.IV[0]) - 3
+			samples[b] = append(samples[b], s)
+		}
+		got, want = got[:0], want[:0]
+		gotKey, gotErr := c.RecoverKey()
+		wantKey, wantErr := recoverRef(samples, recording(&want))
+		if !bytes.Equal(gotKey, wantKey) || gotErr != wantErr {
+			t.Fatalf("attempt %d: cracker (%x, %v), reference (%x, %v)",
+				a, gotKey, gotErr, wantKey, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			n := len(e4Key)
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("attempt %d: cracker asked Verify %d candidates, reference %d; first difference in candidate %d",
+				a, len(got)/n, len(want)/n, i/n)
+		}
+		if len(got) > len(e4Key) {
+			searched++
+		}
+	}
+	if searched < attempts/2 {
+		t.Fatalf("only %d of %d attempts backtracked", searched, attempts)
+	}
+}
+
 // TestRecoverKeyEarlyOut verifies the no-new-samples no-op: the cached
 // outcome is returned (as a fresh copy the caller may mutate), strong frames
 // do not defeat the cache, and a new weak frame re-arms a real attempt.
@@ -300,7 +396,7 @@ func TestRecoverKeyEarlyOutCachesFailure(t *testing.T) {
 
 // TestVoteMachineryAllocFree asserts the steady-state contract: folding a
 // weak sample into a standing table and re-ranking candidates allocates
-// nothing.
+// nothing, and a backtracking attempt allocates only its key.
 func TestVoteMachineryAllocFree(t *testing.T) {
 	key := Key40FromString("SECRE")
 	c := NewCracker(len(key))
@@ -322,21 +418,94 @@ func TestVoteMachineryAllocFree(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() { FirstKeystreamByte(key, iv) }); a != 0 {
 		t.Fatalf("FirstKeystreamByte allocated %.1f times per op, want 0", a)
 	}
+
+	// A failing attempt that backtracks through the whole budget: after the
+	// first one has sized the search scratch, each allocates only the
+	// plurality key. The search votes into the scratch, hands Verify its
+	// own buffer, and leaves the standing tables current.
+	calls := 0
+	c.Verify = func(Key) bool {
+		calls++
+		return false
+	}
+	for b := 1; b < len(key); b++ {
+		for x := 0; x < 16; x++ {
+			iv := IV{byte(b + 3), 255, byte(x)}
+			c.AddSample(Sample{IV: iv, K0: FirstKeystreamByte(key, iv)})
+		}
+	}
+	if _, err := c.RecoverKey(); err != ErrNotEnough || calls < 2 {
+		t.Fatalf("first backtracking attempt: %v after %d Verify calls, want ErrNotEnough after a search", err, calls)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		c.AddSample(s) // a new weak frame re-arms the attempt
+		if _, err := c.RecoverKey(); err != ErrNotEnough {
+			t.Fatalf("backtracking attempt: %v, want ErrNotEnough", err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("backtracking RecoverKey allocated %.1f times per op, want at most 1", allocs)
+	}
 }
 
 // FuzzCrackerAddSealed feeds arbitrary byte strings through the sealed-frame
 // path and cross-checks the incremental engine against a fresh cracker over
-// the surviving samples. The engine must never panic, and statistics and
-// outcomes must match a from-scratch replay.
+// the surviving samples. Both verify candidates by opening one frame sealed
+// under the key, so a plurality miss runs the backtracking search under
+// fuzz. The engine must never panic, and statistics, outcomes and the
+// number of Verify calls must match a from-scratch replay.
 func FuzzCrackerAddSealed(f *testing.F) {
 	key := Key40FromString("SECRE")
+	ref := Seal(key, IV{200, 1, 1}, 0, []byte("verification frame"))
+	counting := func(calls *int) func(Key) bool {
+		return func(k Key) bool {
+			*calls++
+			_, err := Open(k, ref)
+			return err == nil
+		}
+	}
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{3, 255, 1, 0, 0xaa}, uint8(1))
 	f.Add(Seal(key, IV{3, 255, 7}, 0, []byte{SNAPFirstByte, 0xaa, 0x03}), uint8(9))
 	weak := Seal(key, IV{4, 255, 200}, 0, []byte{SNAPFirstByte})
 	f.Add(append(weak, weak...), uint8(40))
+	// IVs (b+3, 255, x) for x < 63, as 9-byte frames (chunk 8): the
+	// plurality key is wrong, and the search finds the real one.
+	var backtrack []byte
+	for x := 0; x < 63; x++ {
+		for b := 0; b < len(key); b++ {
+			backtrack = append(backtrack, Seal(key, IV{byte(b + 3), 255, byte(x)}, 0, []byte{SNAPFirstByte})...)
+		}
+	}
+	var calls int
+	c := NewCracker(len(key))
+	c.Verify = counting(&calls)
+	for off := 0; off < len(backtrack); off += 9 {
+		c.AddSealed(backtrack[off : off+9])
+	}
+	if got, err := c.RecoverKey(); err != nil || !bytes.Equal(got, key) || calls < 2 {
+		f.Fatalf("backtracking seed: (%x, %v) after %d Verify calls, want the key after a search", got, err, calls)
+	}
+	f.Add(backtrack, uint8(8))
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		var liveCalls, freshCalls int
 		live := NewCracker(KeySize40)
+		live.Verify = counting(&liveCalls)
+		// lastCalls is the Verify count of the live cracker's last attempt
+		// that had new weak frames; a repeat without them must be a cached
+		// no-op.
+		lastCalls := 0
+		lastWeak := ^uint64(0)
+		attempt := func() (Key, error) {
+			liveCalls = 0
+			k, err := live.RecoverKey()
+			if live.WeakFrames != lastWeak {
+				lastCalls, lastWeak = liveCalls, live.WeakFrames
+			} else if liveCalls != 0 {
+				t.Fatalf("cached attempt called Verify %d times", liveCalls)
+			}
+			return k, err
+		}
 		size := int(chunk)%64 + 1
 		var frames [][]byte
 		for off := 0; off < len(data); off += size {
@@ -349,12 +518,13 @@ func FuzzCrackerAddSealed(f *testing.F) {
 		for i, fr := range frames {
 			live.AddSealed(fr)
 			if i%3 == 0 {
-				live.RecoverKey() // interleave attempts to churn the tables
+				attempt() // interleave attempts to churn the tables
 			}
 		}
-		liveKey, liveErr := live.RecoverKey()
+		liveKey, liveErr := attempt()
 
 		fresh := NewCracker(KeySize40)
+		fresh.Verify = counting(&freshCalls)
 		for _, fr := range frames {
 			fresh.AddSealed(fr)
 		}
@@ -367,5 +537,60 @@ func FuzzCrackerAddSealed(f *testing.F) {
 			t.Fatalf("outcome diverged: live (%x, %v), fresh (%x, %v)",
 				liveKey, liveErr, freshKey, freshErr)
 		}
+		if lastCalls != freshCalls {
+			t.Fatalf("Verify calls diverged: live %d, fresh %d", lastCalls, freshCalls)
+		}
 	})
+}
+
+// e4Key and e4Verify reproduce E4's 104-bit job: the key, and the Verify
+// that opens one frame sealed under it.
+var e4Key = Key("thirteenbytes")
+
+func e4Verify(key Key) func(Key) bool {
+	ref := Seal(key, IV{200, 1, 1}, 0, []byte("verification frame"))
+	return func(k Key) bool {
+		_, err := Open(k, ref)
+		return err == nil
+	}
+}
+
+// e4Burst appends one of E4's 64-sample capture bursts for key, drawn from
+// rng: weak IVs in random order, possibly with repeats.
+func e4Burst(rng *sim.RNG, key Key, out []Sample) []Sample {
+	for i := 0; i < 64; i++ {
+		b := rng.Intn(len(key))
+		iv := IV{byte(b + 3), 255, byte(rng.Intn(256))}
+		out = append(out, Sample{IV: iv, K0: FirstKeystreamByte(key, iv)})
+	}
+	return out
+}
+
+// BenchmarkFMSRecover104 replays E4's 104-bit capture stream (sim.NewRNG(4),
+// 64-sample bursts, RecoverKey after each) into a fresh cracker until the key
+// is recovered. It stands for E4's 104-bit job, nearly all of E4, the largest
+// single cost of a paper-suite pass: in a traced seed-1 run (2-vCPU host,
+// Go 1.24) E4 took ~32% of a pass, and ~50% while every search node rebuilt
+// its own vote table.
+func BenchmarkFMSRecover104(b *testing.B) {
+	verify := e4Verify(e4Key)
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		c := NewCracker(len(e4Key))
+		c.Verify = verify
+		rng := sim.NewRNG(4)
+		var burst []Sample
+		for {
+			if c.WeakFrames >= uint64(len(e4Key)*256*4) {
+				b.Fatal("key not recovered within E4's sample budget")
+			}
+			burst = e4Burst(rng, e4Key, burst[:0])
+			for _, s := range burst {
+				c.AddSample(s)
+			}
+			if got, err := c.RecoverKey(); err == nil && bytes.Equal(got, e4Key) {
+				break
+			}
+		}
+	}
 }

@@ -5,6 +5,15 @@ import "repro/internal/pkt"
 // maxKeySize bounds the stack space for per-frame keys (IV + WEP-128 key).
 const maxKeySize = IVLen + KeySize104
 
+// resetFrame keys c for one frame: the KSA over IV‖key, with the per-frame
+// key in a stack array. key must be a valid WEP key.
+func (c *RC4) resetFrame(iv []byte, key Key) {
+	var perFrame [maxKeySize]byte
+	n := copy(perFrame[:], iv[:IVLen])
+	n += copy(perFrame[n:], key)
+	c.Reset(perFrame[:n])
+}
+
 // SealInPlace encrypts a packet buffer's view in place, producing bytes
 // identical to Seal: the IV and key-ID byte are pushed into the buffer's
 // headroom, the ICV is extended into its tailroom, and RC4 runs over the body
@@ -21,11 +30,8 @@ func SealInPlace(key Key, iv IV, keyID byte, pb *pkt.Buf) {
 	hdr := pb.Push(HeaderLen)
 	copy(hdr, iv[:])
 	hdr[IVLen] = keyID & 0x03
-	var perFrame [maxKeySize]byte
-	n := copy(perFrame[:], iv[:])
-	n += copy(perFrame[n:], key)
 	var c RC4
-	c.Reset(perFrame[:n])
+	c.resetFrame(iv[:], key)
 	body := pb.Bytes()[HeaderLen:]
 	c.XORKeyStream(body, body)
 }
@@ -44,11 +50,8 @@ func OpenInPlace(key Key, pb *pkt.Buf) error {
 		return ErrShort
 	}
 	hdr := pb.Pop(HeaderLen)
-	var perFrame [maxKeySize]byte
-	n := copy(perFrame[:], hdr[:IVLen])
-	n += copy(perFrame[n:], key)
 	var c RC4
-	c.Reset(perFrame[:n])
+	c.resetFrame(hdr[:IVLen], key)
 	body := pb.Bytes()
 	c.XORKeyStream(body, body)
 	plaintext := body[:len(body)-ICVLen]

@@ -89,3 +89,25 @@ func TestSealInPlaceZeroAlloc(t *testing.T) {
 		t.Fatalf("seal+open in place allocates %v per run, want 0", allocs)
 	}
 }
+
+// sealSink keeps Seal's result live so the allocation count below is real.
+var sealSink []byte
+
+// TestSealOpenOneAlloc pins the allocating paths to their output buffer
+// alone: the per-frame key and RC4 state live on the stack, as in the
+// in-place paths.
+func TestSealOpenOneAlloc(t *testing.T) {
+	key := make(Key, KeySize104)
+	msg := bytes.Repeat([]byte("a"), 256)
+	sealed := Seal(key, IV{1, 2, 3}, 0, msg)
+	if a := testing.AllocsPerRun(20, func() { sealSink = Seal(key, IV{1, 2, 3}, 0, msg) }); a != 1 {
+		t.Fatalf("Seal allocates %v per run, want 1", a)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		if _, err := Open(key, sealed); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 1 {
+		t.Fatalf("Open allocates %v per run, want 1", a)
+	}
+}

@@ -76,10 +76,9 @@ func Seal(key Key, iv IV, keyID byte, plaintext []byte) []byte {
 	copy(body, plaintext)
 	icv := crc32ieee(plaintext)
 	putLE32(body[len(plaintext):], icv)
-	perFrame := make([]byte, 0, IVLen+len(key))
-	perFrame = append(perFrame, iv[:]...)
-	perFrame = append(perFrame, key...)
-	NewRC4(perFrame).XORKeyStream(body, body)
+	var c RC4
+	c.resetFrame(iv[:], key)
+	c.XORKeyStream(body, body)
 	return out
 }
 
@@ -98,13 +97,10 @@ func Open(key Key, sealed []byte) ([]byte, error) {
 	if len(sealed) < Overhead {
 		return nil, ErrShort
 	}
-	var iv IV
-	copy(iv[:], sealed[0:IVLen])
-	perFrame := make([]byte, 0, IVLen+len(key))
-	perFrame = append(perFrame, iv[:]...)
-	perFrame = append(perFrame, key...)
 	body := make([]byte, len(sealed)-HeaderLen)
-	NewRC4(perFrame).XORKeyStream(body, sealed[HeaderLen:])
+	var c RC4
+	c.resetFrame(sealed[:IVLen], key)
+	c.XORKeyStream(body, sealed[HeaderLen:])
 	plaintext := body[:len(body)-ICVLen]
 	if crc32ieee(plaintext) != le32(body[len(plaintext):]) {
 		return nil, ErrICV

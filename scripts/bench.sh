@@ -9,7 +9,9 @@
 #   - the sharded-medium broadcast benchmarks (per-transmission delivery
 #     cost at 64/1k/4k radios, plus the unsharded 1k comparison floor);
 #   - the per-layer marshal micro-benches (WEP seal, TCP segment, IPv4
-#     header push, 802.11 header).
+#     header push, 802.11 header);
+#   - the 104-bit FMS recovery bench (E4's heaviest job), once: one
+#     iteration is a whole crack. No reference gates it.
 #
 # Kernel and marshal benches run with a real -benchtime so single-shot noise
 # never flaps the regression gate that consumes this file.
@@ -47,6 +49,7 @@ go test -run '^$' -bench 'MediumBroadcast/|MediumBroadcastUnsharded' \
 go test -run '^$' -bench 'WEPSeal$|TCPMarshal$|IPv4Push$|Dot11Data$' \
 	-benchmem -benchtime "$MICROTIME" \
 	./internal/wep/ ./internal/tcp/ ./internal/ipv4/ ./internal/dot11/ | tee -a "$TMP"
+go test -run '^$' -bench 'FMSRecover104$' -benchmem -benchtime 1x ./internal/wep/ | tee -a "$TMP"
 
 awk -v baseline="$BASELINE" -v notes="${BENCH_NOTES:-}" '
 function bname(s) { sub(/^Benchmark/, "", s); sub(/-[0-9]+$/, "", s); return s }
