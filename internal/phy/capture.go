@@ -19,20 +19,28 @@ import "math"
 // channel) and each (candidate, overlap) check costs a few multiplies
 // instead of a Hypot and a Log10.
 //
+// The decode floor works in the same domain. A candidate is below it iff
+// P_tx - PL(d_tx) - N < decodeFloorSNRDB (channel rejection cancels out of
+// snr + rej), which in real arithmetic is d_tx² > reach², with reach the
+// transmitter's decodeReach. So the floor needs only the squared distance
+// the capture test already uses, and rssi is computed only for a frame that
+// reaches the loss model.
+//
 // Exactness: the dB expression evaluated in floating point is what the
 // determinism contract pins, and it carries an absolute rounding error far
-// below 1e-12 dB. Both squared distances and the threshold carry relative
-// errors of a few ulps. A relative gap of captureGuard between d_o² and the
-// threshold is a gap of 5n·log10(1+1e-9) ≈ 2.2e-9·n dB between rssi - op and
-// C — thousands of times either form's error — so outside the guard band
-// the two forms give the same boolean, and inside it the test evaluates the
-// dB expression itself. Non-finite values fail the band check and take the
-// dB expression too. Shadowing adds a per-frame draw to rssi that the
-// ratio form cannot see, so shadowed mediums always use the dB expression.
+// below 1e-12 dB. The squared distances and thresholds carry relative
+// errors of a few ulps. A relative gap of ratioGuard between a squared
+// distance and its threshold is a gap of 5n·log10(1+1e-9) ≈ 2.2e-9·n dB in
+// the dB expression — thousands of times either form's error — so outside
+// the guard band the two forms give the same boolean, and inside it the
+// test evaluates the dB expression itself. Non-finite values fail the band
+// check and take the dB expression too. Shadowing adds a per-frame draw to
+// rssi that the ratio form cannot see, so shadowed mediums keep the dB
+// expressions and compute rssi first.
 
-// captureGuard is the relative half-width of the band around the threshold
-// inside which the ratio test defers to the exact dB expression.
-const captureGuard = 1e-9
+// ratioGuard is the relative half-width of the band around a threshold
+// inside which a ratio-domain test defers to the exact dB expression.
+const ratioGuard = 1e-9
 
 // captureSlots is the factor-table stride: one slot per channel number.
 const captureSlots = int(MaxChannel) + 1
@@ -78,32 +86,50 @@ func dist2(a, b Position) float64 {
 	return 1
 }
 
+// belowDecodeFloor reports whether rx, at clamped squared distance d2 from
+// tx's source and with rej dB of channel rejection, sits under the decode
+// floor. Unshadowed mediums only: the fallback recomputes rssi, which is
+// then a pure function of the geometry.
+func (m *Medium) belowDecodeFloor(tx *transmission, rx *Radio, rej, d2 float64) bool {
+	r2 := tx.reach * tx.reach
+	if d := d2 - r2; math.Abs(d) > ratioGuard*r2 {
+		return d > 0
+	}
+	snr := m.rssiAt(tx, rx, rej) - m.cfg.NoiseFloorDBm
+	return snr+rej < decodeFloorSNRDB
+}
+
 // overlapCollides reports whether any of tx.overlaps is loud enough at rx to
-// defeat capture of tx's frame received at rssi, memoizing threshold factors
-// in m.capture (reset for tx's overlaps by the caller). No RNG, no counters;
-// the early return is sound because only the OR is observable.
-func (m *Medium) overlapCollides(tx *transmission, rx *Radio, rssi float64) bool {
-	dtx2 := 0.0 // clamped squared tx→rx distance, computed on first use
+// defeat capture of tx's frame, which reaches rx from clamped squared
+// distance dtx2 with rej dB of channel rejection. Threshold factors are
+// memoized in m.capture (reset for tx's overlaps by the caller). Unshadowed
+// mediums only, like belowDecodeFloor. No RNG, no counters; the early
+// return is sound because only the OR is observable.
+func (m *Medium) overlapCollides(tx *transmission, rx *Radio, rej, dtx2 float64) bool {
 	for i, o := range tx.overlaps {
 		orej := channelRejectionDB(o.channel, rx.channel)
 		if math.IsInf(orej, 1) {
 			continue
 		}
-		if m.cfg.ShadowingSigmaDB > 0 {
-			if m.collidesDB(o, rx, rssi, orej) {
-				return true
-			}
-			continue
-		}
-		if dtx2 == 0 {
-			dtx2 = dist2(tx.src.pos, rx.pos)
-		}
 		t := dtx2 * m.capture.factor(m, tx, o, i, rx.channel, orej)
-		if d := dist2(o.src.pos, rx.pos) - t; math.Abs(d) > captureGuard*t {
+		if d := dist2(o.src.pos, rx.pos) - t; math.Abs(d) > ratioGuard*t {
 			if d < 0 {
 				return true
 			}
-		} else if m.collidesDB(o, rx, rssi, orej) {
+		} else if m.collidesDB(o, rx, m.rssiAt(tx, rx, rej), orej) {
+			return true
+		}
+	}
+	return false
+}
+
+// overlapCollidesDB is the capture test in the dB domain for a frame
+// received at rssi: the form shadowed mediums need, and the flat test
+// medium's reference.
+func (m *Medium) overlapCollidesDB(tx *transmission, rx *Radio, rssi float64) bool {
+	for _, o := range tx.overlaps {
+		orej := channelRejectionDB(o.channel, rx.channel)
+		if !math.IsInf(orej, 1) && m.collidesDB(o, rx, rssi, orej) {
 			return true
 		}
 	}

@@ -24,6 +24,16 @@ func refOverlapCollides(m *Medium, overlaps []*transmission, rx *Radio, rssi flo
 	return false
 }
 
+// captureCollides runs the capture test the delivery loop runs at rx for a
+// frame received at rssi: the ratio form on a spatial (unshadowed) medium,
+// the dB form otherwise.
+func captureCollides(m *Medium, tx *transmission, rx *Radio, rssi float64) bool {
+	if m.spatial {
+		return m.overlapCollides(tx, rx, channelRejectionDB(tx.channel, rx.channel), dist2(tx.src.pos, rx.pos))
+	}
+	return m.overlapCollidesDB(tx, rx, rssi)
+}
+
 // candidateRSSI is the serial delivery loop's received power at rx, and
 // false for a radio on an orthogonal channel (never a candidate).
 func candidateRSSI(m *Medium, tx *transmission, rx *Radio) (float64, bool) {
@@ -37,8 +47,8 @@ func candidateRSSI(m *Medium, tx *transmission, rx *Radio) (float64, bool) {
 // TestOverlapCollidesMatchesDB compares the ratio-domain predicate with the
 // dB oracle over random worlds: mixed channels and transmit powers, radios
 // clustered within a metre of each other (both distances clamped), several
-// path-loss exponents, and shadowed mediums, where the predicate must stay
-// in the dB domain. The medium's capture scratch is reset once per
+// path-loss exponents, and shadowed mediums, where the delivery loop must
+// stay in the dB domain. The medium's capture scratch is reset once per
 // transmission and serves its whole candidate list, as in a completion, so
 // cached factors are reused across receivers on the same channel.
 func TestOverlapCollidesMatchesDB(t *testing.T) {
@@ -77,7 +87,7 @@ func TestOverlapCollidesMatchesDB(t *testing.T) {
 					if rx == tx.src || !ok {
 						continue
 					}
-					got := m.overlapCollides(tx, rx, rssi)
+					got := captureCollides(m, tx, rx, rssi)
 					if want := refOverlapCollides(m, tx.overlaps, rx, rssi); got != want {
 						t.Fatalf("seed %d sigma %v round %d rx %d: ratio test %v, dB oracle %v", seed, sigma, round, rx.idx, got, want)
 					}
@@ -127,8 +137,8 @@ func runCaptureCase(c captureCase) (got, want, band, ok bool) {
 	if c.placeAtThreshold {
 		osrc.pos = Position{X: c.rx.X + math.Sqrt(t*(1+c.thresholdRelOffset)), Y: c.rx.Y}
 	}
-	band = !(math.Abs(dist2(osrc.pos, c.rx)-t) > captureGuard*t)
-	got = m.overlapCollides(tx, rx, rssi)
+	band = !(math.Abs(dist2(osrc.pos, c.rx)-t) > ratioGuard*t)
+	got = m.overlapCollides(tx, rx, channelRejectionDB(c.txCh, c.rxCh), dist2(c.tx, c.rx))
 	want = refOverlapCollides(m, tx.overlaps, rx, rssi)
 	return got, want, band, true
 }

@@ -29,7 +29,7 @@ func refGatherInto(m *Medium, cand []*Radio, tx *transmission) []*Radio {
 			cand = append(cand, m.shards[ch].radios...)
 		}
 	} else {
-		rad := m.maxDecodeRange(tx.powerDBm)
+		rad := searchRadius(m.decodeReach(tx.powerDBm))
 		p := tx.src.pos
 		cx0 := int32(math.Floor((p.X - rad) / m.cellSize))
 		cx1 := int32(math.Floor((p.X + rad) / m.cellSize))
@@ -62,7 +62,7 @@ func refGatherInto(m *Medium, cand []*Radio, tx *transmission) []*Radio {
 // gatherBranches reports which gather branches tx's neighborhood takes in a
 // spatial medium: a sparse shard's member list, a grid-cell probe, or both.
 func gatherBranches(m *Medium, tx *transmission) (sparse, grid bool) {
-	rad := m.maxDecodeRange(tx.powerDBm)
+	rad := searchRadius(tx.reach)
 	p := tx.src.pos
 	nx := int64(math.Floor((p.X+rad)/m.cellSize)) - int64(math.Floor((p.X-rad)/m.cellSize)) + 1
 	ny := int64(math.Floor((p.Y+rad)/m.cellSize)) - int64(math.Floor((p.Y-rad)/m.cellSize)) + 1

@@ -154,11 +154,15 @@ type Medium struct {
 	radios []*Radio
 	// shards[1..11] partition radios and active transmissions by channel.
 	shards [MaxChannel + 1]mediumShard
-	// cellSize is the grid cell edge (one default-power decode range).
-	cellSize float64
-	// spatial enables grid pruning plus the decode floor. It is off when
-	// shadowing is on (reception at any distance is then a draw the loss
-	// model must keep making) and under flatScan.
+	// defaultReach is decodeReach(defaultTxPowerDBm), shared by every
+	// default-power radio; cellSize is the grid cell edge, one default-power
+	// search radius.
+	defaultReach float64
+	cellSize     float64
+	// spatial enables grid pruning, the decode floor and the lazy,
+	// squared-distance delivery tests. It is off when shadowing is on
+	// (reception at any distance is then a draw the loss model must keep
+	// making) and under flatScan.
 	spatial bool
 	// flatScan makes delivery walk every attached radio in attach order,
 	// the pre-shard O(radios) medium. Only in-package tests set it, as the
@@ -194,7 +198,9 @@ type transmission struct {
 	channel    Channel
 	start, end sim.Time
 	powerDBm   float64
-	data       []byte
+	// reach is the source radio's decode reach (see decodeReach).
+	reach float64
+	data  []byte
 	// buf owns the bytes data views; the medium releases it when the
 	// transmission completes.
 	buf  *pkt.Buf
@@ -216,7 +222,8 @@ type transmission struct {
 func NewMedium(k *sim.Kernel, cfg Config) *Medium {
 	cfg.fill()
 	m := &Medium{kernel: k, cfg: cfg, rng: k.RNG().Fork()}
-	m.cellSize = m.maxDecodeRange(defaultTxPowerDBm)
+	m.defaultReach = m.decodeReach(defaultTxPowerDBm)
+	m.cellSize = searchRadius(m.defaultReach)
 	m.spatial = cfg.ShadowingSigmaDB == 0
 	return m
 }
@@ -230,10 +237,6 @@ func (m *Medium) SetBurstLoss(b *BurstLoss) {
 	m.burst = b
 	m.burstBad = false
 }
-
-// BurstBad reports whether the burst-loss chain is currently in the Bad
-// state (false when no model is installed).
-func (m *Medium) BurstBad() bool { return m.burst != nil && m.burstBad }
 
 // burstHit steps the Gilbert–Elliott chain once and reports whether the
 // current transmission is wiped by the burst condition. Channel-wide: a
@@ -276,6 +279,12 @@ func (m *Medium) rxPowerDBm(txPower float64, txPos, rxPos Position) float64 {
 	return p
 }
 
+// rssiAt is tx's received power at rx after rej dB of channel rejection: a
+// pure function of the geometry on an unshadowed medium, a draw otherwise.
+func (m *Medium) rssiAt(tx *transmission, rx *Radio, rej float64) float64 {
+	return m.rxPowerDBm(tx.powerDBm, tx.src.pos, rx.pos) - rej
+}
+
 // channelRejectionDB attenuates energy from adjacent channels. 802.11b
 // channels 5 apart are effectively orthogonal.
 func channelRejectionDB(a, b Channel) float64 {
@@ -311,11 +320,13 @@ type Receiver func(data []byte, info RxInfo)
 // Radio is one 802.11 transceiver attached to the medium. A radio is
 // half-duplex and tuned to a single channel at a time.
 type Radio struct {
-	medium   *Medium
-	name     string
-	pos      Position
-	channel  Channel
-	txPower  float64 // dBm
+	medium  *Medium
+	name    string
+	pos     Position
+	channel Channel
+	txPower float64 // dBm, fixed at AddRadio
+	// reach is decodeReach(txPower), computed once since power never changes.
+	reach    float64
 	recv     Receiver
 	sendBusy sim.Time // our own tx serialisation
 	// down radios neither transmit nor receive — the link-flap fault.
@@ -357,7 +368,11 @@ func (m *Medium) AddRadio(cfg RadioConfig) *Radio {
 	if !cfg.Channel.Valid() {
 		panic(fmt.Sprintf("phy: invalid channel %d", cfg.Channel))
 	}
-	r := &Radio{medium: m, name: cfg.Name, pos: cfg.Pos, channel: cfg.Channel, txPower: cfg.TxPowerDBm}
+	reach := m.defaultReach
+	if cfg.TxPowerDBm != defaultTxPowerDBm {
+		reach = m.decodeReach(cfg.TxPowerDBm)
+	}
+	r := &Radio{medium: m, name: cfg.Name, pos: cfg.Pos, channel: cfg.Channel, txPower: cfg.TxPowerDBm, reach: reach}
 	r.digestLabel = "phy/rx:" + cfg.Name
 	r.idx = len(m.radios)
 	m.radios = append(m.radios, r)
@@ -413,12 +428,6 @@ func (r *Radio) SetDown(down bool) { r.down = down }
 // Down reports whether the radio is administratively down.
 func (r *Radio) Down() bool { return r.down }
 
-// TxPowerDBm reports the transmit power.
-func (r *Radio) TxPowerDBm() float64 { return r.txPower }
-
-// SetTxPowerDBm adjusts transmit power (the rogue AP cranks this up).
-func (r *Radio) SetTxPowerDBm(p float64) { r.txPower = p }
-
 // SetReceiver installs the MAC-layer frame handler. The PHY delivers every
 // decodable frame on the tuned channel; address filtering is the MAC's job,
 // which is exactly why wireless sniffing is trivial.
@@ -467,7 +476,8 @@ func (r *Radio) SendBuf(pb *pkt.Buf, rate Rate) sim.Time {
 
 	tx := m.getTx()
 	tx.src, tx.channel, tx.start, tx.end = r, r.channel, start, end
-	tx.powerDBm, tx.data, tx.buf, tx.rate, tx.air = r.txPower, pb.Bytes(), pb, rate, air
+	tx.powerDBm, tx.reach = r.txPower, r.reach
+	tx.data, tx.buf, tx.rate, tx.air = pb.Bytes(), pb, rate, air
 	// Register overlaps across every shard (in fixed channel order): a
 	// transmission up to 8 channels away can still interfere at a receiver
 	// sitting between the two, so the overlap graph stays channel-blind —
@@ -563,25 +573,43 @@ func (m *Medium) complete(tx *transmission) {
 			// neighborhood never yields an orthogonal-channel radio.
 			continue
 		}
-		rssi := m.rxPowerDBm(tx.powerDBm, tx.src.pos, rx.pos) - rej
+		var rssi float64
+		if m.spatial {
+			// Unshadowed, so rssi is a pure function of the geometry: the
+			// floor and the capture test decide from the squared distance
+			// (DESIGN.md §13.2), and only a frame that reaches the loss
+			// model pays rssi's Hypot and Log10.
+			//
+			// Below the decode floor: deterministically lost, no RNG draw.
+			// The floor deliberately ignores channel rejection — it is the
+			// same pure distance/power cut decodeReach solves for, which
+			// is what makes grid pruning sound AND keeps the draw sequence
+			// for every in-range radio identical to the pre-shard medium
+			// (a close radio on an adjacent channel still rolls its dice,
+			// exactly as before, however hopeless rejection makes them).
+			d2 := dist2(tx.src.pos, rx.pos)
+			if m.belowDecodeFloor(tx, rx, rej, d2) {
+				rx.RxBelowSNR++
+				m.SNRDrops++
+				continue
+			}
+			if m.overlapCollides(tx, rx, rej, d2) {
+				rx.RxCollisions++
+				m.Collisions++
+				continue
+			}
+			rssi = m.rssiAt(tx, rx, rej)
+		} else {
+			// Shadowed, where rssi carries a draw that must come first, or
+			// the flat test medium: no floor, and the dB capture test.
+			rssi = m.rssiAt(tx, rx, rej)
+			if m.overlapCollidesDB(tx, rx, rssi) {
+				rx.RxCollisions++
+				m.Collisions++
+				continue
+			}
+		}
 		snr := rssi - m.cfg.NoiseFloorDBm
-		// Below the decode floor: deterministically lost, no RNG draw.
-		// The floor deliberately ignores channel rejection — it is the
-		// same pure distance/power cut maxDecodeRange solves for, which
-		// is what makes grid pruning sound AND keeps the draw sequence
-		// for every in-range radio identical to the pre-shard medium
-		// (a close radio on an adjacent channel still rolls its dice,
-		// exactly as before, however hopeless rejection makes them).
-		if m.spatial && snr+rej < decodeFloorSNRDB {
-			rx.RxBelowSNR++
-			m.SNRDrops++
-			continue
-		}
-		if m.overlapCollides(tx, rx, rssi) {
-			rx.RxCollisions++
-			m.Collisions++
-			continue
-		}
 		if !m.frameSurvives(snr, len(tx.data), rate) {
 			rx.RxBelowSNR++
 			m.SNRDrops++
@@ -614,14 +642,60 @@ func (m *Medium) retire(tx *transmission) {
 }
 
 // frameSurvives applies the SNR/size loss model: a logistic per-frame success
-// curve centred on the rate's required SNR, sharpened for larger frames.
+// curve centred on the rate's required SNR, sharpened for larger frames. The
+// frame survives with probability pBit^blocks, decided exactly as
+// m.rng.Bool(math.Pow(pBit, blocks)) would: same draws, same boolean. When
+// that Bool would draw, the draw is compared with integer-power bounds first
+// and the Pow runs only for a draw within lossGuard of them (DESIGN.md §13.2).
 func (m *Medium) frameSurvives(snr float64, size int, rate Rate) bool {
 	margin := snr - rate.requiredSNR()
 	pBit := 1 / (1 + math.Exp(-margin*1.2)) // per-"block" success
 	// Longer frames face more chances to be hit; normalise to 256-byte blocks.
 	blocks := float64(size)/256 + 1
-	pFrame := math.Pow(pBit, blocks)
-	return m.rng.Bool(pFrame)
+	if blocks <= maxBoundBlocks {
+		// 0 < pBit^blocks < 1 inside this window, so Bool draws exactly once.
+		if lo, hi := powBounds(pBit, blocks); lo > 1e-300 && hi < 1-lossGuard {
+			return survivesDraw(m.rng.Float64(), pBit, blocks, lo, hi)
+		}
+	}
+	return m.rng.Bool(math.Pow(pBit, blocks))
+}
+
+// lossGuard is the relative margin by which a loss draw must clear a bound
+// of powBounds for the bound to decide it.
+const lossGuard = 1e-9
+
+// maxBoundBlocks caps the repeated multiplication in powBounds (frames up to
+// 16 KB), which keeps its rounding error under 1e-14 relative.
+const maxBoundBlocks = 64
+
+// powBounds returns lo = p^⌈blocks⌉ and hi = p^⌊blocks⌋ by repeated
+// multiplication, for 1 ≤ blocks ≤ maxBoundBlocks. For 0 ≤ p ≤ 1 the real
+// p^blocks lies between them; they are equal when blocks is an integer.
+func powBounds(p, blocks float64) (lo, hi float64) {
+	n := int(blocks)
+	hi = p
+	for i := 1; i < n; i++ {
+		hi *= p
+	}
+	if float64(n) == blocks {
+		return hi, hi
+	}
+	return hi * p, hi
+}
+
+// survivesDraw reports u < math.Pow(pBit, blocks) for the draw u, given the
+// bounds lo and hi from powBounds. Every computed quantity is within about
+// 1e-14 relative of its real value, so a draw more than lossGuard outside
+// [lo, hi] is decided by the bound alone.
+func survivesDraw(u, pBit, blocks, lo, hi float64) bool {
+	switch {
+	case u < lo*(1-lossGuard):
+		return true
+	case u >= hi*(1+lossGuard):
+		return false
+	}
+	return u < math.Pow(pBit, blocks)
 }
 
 // SNRAt reports the SNR a receiver at pos would see from a transmitter —

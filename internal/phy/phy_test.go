@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -137,7 +138,7 @@ func TestDecodeFloorSkipsWithoutDraw(t *testing.T) {
 		b := m.AddRadio(RadioConfig{Name: "b", Pos: Position{100, 0}, Channel: 1})
 		b.SetReceiver(func(data []byte, info RxInfo) {})
 		if withEdge {
-			// 500 m: beyond maxDecodeRange(15 dBm) ≈ 402 m but still inside
+			// 500 m: beyond the 15 dBm search radius ≈ 402 m but still inside
 			// the conservative cell rectangle (cell edge ≈ 402 m), so the
 			// grid hands it to the delivery loop and the floor — not the
 			// grid — must reject it, without an RNG draw.
@@ -161,41 +162,86 @@ func TestDecodeFloorSkipsWithoutDraw(t *testing.T) {
 	}
 }
 
+// TestShardedMatchesUnshardedDigest is the whole-loop differential. With
+// every radio inside every sender's decode range, the sharded medium (grid
+// gather, squared-distance floor, ratio capture test, rssi only for frames
+// that reach the loss model) must reproduce the flat scan (every radio, no
+// floor, dB capture test, rssi first) byte-identically: same candidates,
+// same order, same draws, same outcomes. Senders fire in bursts of up to
+// four frames in the same instant, so capture and collisions run, and the
+// world adds a sender 6 dB hot, sub-metre clusters (the distance clamp) and
+// adjacent channels. Run with and without shadowing (shadowing adds a
+// per-candidate draw and disables pruning).
 func TestShardedMatchesUnshardedDigest(t *testing.T) {
-	// Differential check: with all radios inside decode range, the sharded
-	// medium must reproduce the unsharded scan's digest byte-identically —
-	// same candidates, same order, same draws. Run with and without
-	// shadowing (shadowing adds a per-candidate draw and disables pruning).
-	for _, sigma := range []float64{0, 3} {
-		digests := map[bool]uint64{}
-		for _, unsharded := range []bool{false, true} {
-			k := sim.NewKernel(7)
-			newMedium := NewMedium
-			if unsharded {
-				newMedium = newFlatMedium
-			}
-			m := newMedium(k, Config{ShadowingSigmaDB: sigma})
-			radios := make([]*Radio, 0, 30)
-			for i := 0; i < 30; i++ {
-				ch := Channel(1 + 5*(i%3)) // channels 1/6/11
-				r := m.AddRadio(RadioConfig{
-					Name:    "r",
-					Pos:     Position{float64(i%6) * 30, float64(i/6) * 30},
-					Channel: ch,
-				})
-				r.SetReceiver(func(data []byte, info RxInfo) {})
-				radios = append(radios, r)
-			}
-			for round := 0; round < 20; round++ {
-				src := radios[(round*7)%len(radios)]
-				src.Send(make([]byte, 200+round), Rate11Mbps)
-				k.RunFor(5 * sim.Millisecond)
-			}
-			k.Run()
-			digests[unsharded] = k.Digest()
+	type outcome struct {
+		digest                           uint64
+		rx                               [][3]uint64 // RxFrames, RxCollisions, RxBelowSNR
+		deliveries, collisions, snrDrops uint64
+		captured                         int // deliveries of frames sent in a burst
+	}
+	run := func(sigma float64, flat bool) outcome {
+		k := sim.NewKernel(7)
+		newMedium := NewMedium
+		if flat {
+			newMedium = newFlatMedium
 		}
-		if digests[false] != digests[true] {
-			t.Fatalf("sigma=%v: sharded digest %016x != unsharded %016x", sigma, digests[false], digests[true])
+		m := newMedium(k, Config{ShadowingSigmaDB: sigma})
+		layout := sim.NewRNG(11)
+		radios := make([]*Radio, 0, 40)
+		heard := 0
+		for i := 0; i < 40; i++ {
+			// A 150 m square: every pair is within 213 m, inside a
+			// default-power decode reach of ~398 m.
+			pos := Position{X: layout.Float64() * 150, Y: layout.Float64() * 150}
+			if i%5 == 4 {
+				// Within half a metre of the previous radio.
+				base := radios[i-1].pos
+				pos = Position{X: base.X + layout.Float64() - 0.5, Y: base.Y + layout.Float64() - 0.5}
+			}
+			cfg := RadioConfig{Name: fmt.Sprintf("r%d", i), Pos: pos, Channel: Channel(1 + layout.Intn(6))}
+			if i == 3 {
+				cfg.TxPowerDBm = defaultTxPowerDBm + 6
+			}
+			r := m.AddRadio(cfg)
+			r.SetReceiver(func(data []byte, info RxInfo) { heard++ })
+			radios = append(radios, r)
+		}
+		captured := 0
+		for round := 0; round < 80; round++ {
+			before := heard
+			for j := 0; j <= round%4; j++ {
+				payload := make([]byte, 40+(round*37+j*101)%900)
+				payload[0], payload[1] = byte(round), byte(j)
+				radios[(round*7+j*13)%len(radios)].Send(payload, Rate11Mbps)
+			}
+			k.RunFor(5 * sim.Millisecond)
+			if round%4 > 0 {
+				captured += heard - before
+			}
+		}
+		k.Run()
+		o := outcome{digest: k.Digest(), deliveries: m.Deliveries, collisions: m.Collisions, snrDrops: m.SNRDrops, captured: captured}
+		for _, r := range radios {
+			o.rx = append(o.rx, [3]uint64{r.RxFrames, r.RxCollisions, r.RxBelowSNR})
+		}
+		return o
+	}
+	for _, sigma := range []float64{0, 3} {
+		sharded, flat := run(sigma, false), run(sigma, true)
+		t.Logf("sigma=%v: %d delivered (%d captured in a burst), %d collided, %d lost to SNR",
+			sigma, flat.deliveries, flat.captured, flat.collisions, flat.snrDrops)
+		if flat.captured == 0 || flat.collisions == 0 || flat.snrDrops == 0 {
+			t.Fatalf("sigma=%v: weak scenario: %d captured in a burst, %d collided, %d lost to SNR",
+				sigma, flat.captured, flat.collisions, flat.snrDrops)
+		}
+		if sharded.digest != flat.digest {
+			t.Fatalf("sigma=%v: sharded digest %016x != unsharded %016x", sigma, sharded.digest, flat.digest)
+		}
+		for i := range flat.rx {
+			if sharded.rx[i] != flat.rx[i] {
+				t.Fatalf("sigma=%v radio %d: sharded [rx, collided, below SNR] %v, unsharded %v",
+					sigma, i, sharded.rx[i], flat.rx[i])
+			}
 		}
 	}
 }

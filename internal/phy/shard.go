@@ -78,16 +78,21 @@ func channelNeighborhood(c Channel) (lo, hi Channel) {
 	return lo, hi
 }
 
-// maxDecodeRange is the distance at which a transmission at powerDBm falls
-// to decodeFloorSNRDB of pre-rejection SNR — beyond it no receiver rolls
-// dice for the frame. The 1% slack keeps the grid's cell rectangle strictly
-// conservative against float rounding: pruning must only ever drop radios
-// the floor check would skip anyway.
-func (m *Medium) maxDecodeRange(powerDBm float64) float64 {
+// decodeReach is the distance at which a transmission at powerDBm falls to
+// decodeFloorSNRDB of pre-rejection SNR — beyond it no receiver rolls dice
+// for the frame. AddRadio caches it per radio, so the delivery path never
+// pays its Pow.
+func (m *Medium) decodeReach(powerDBm float64) float64 {
 	exp := (powerDBm - m.cfg.ReferenceLossDB - m.cfg.NoiseFloorDBm - decodeFloorSNRDB) /
 		(10 * m.cfg.PathLossExponent)
-	return 1.01 * math.Pow(10, exp)
+	return math.Pow(10, exp)
 }
+
+// searchRadius is the gather's radius around a transmitter with the given
+// decode reach. The 1% slack keeps the grid's cell rectangle strictly
+// conservative against float rounding: pruning must only ever drop radios
+// the floor check would skip anyway.
+func searchRadius(reach float64) float64 { return 1.01 * reach }
 
 // cellOf maps a position to its grid cell.
 func (m *Medium) cellOf(p Position) gridKey {
@@ -158,7 +163,7 @@ func (m *Medium) gatherCandidates(tx *transmission) []*Radio {
 	cells := int64(math.MaxInt64)
 	var cx0, cx1, cy0, cy1 int32
 	if m.spatial {
-		rad := m.maxDecodeRange(tx.powerDBm)
+		rad := searchRadius(tx.reach)
 		p := tx.src.pos
 		cx0 = int32(math.Floor((p.X - rad) / m.cellSize))
 		cx1 = int32(math.Floor((p.X + rad) / m.cellSize))
