@@ -44,13 +44,8 @@ func main() {
 		}
 		return
 	}
-	if *schedule != "" {
-		if _, err := faults.Resolve(*schedule); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-
+	// A schedule that does not parse, or names a target the scenario's
+	// world lacks, comes back as an error before anything runs.
 	o, err := core.RunScenarioOpts(*scenario, *seed, core.ScenarioOpts{
 		Checks: *check, Faults: *schedule,
 	})
@@ -64,9 +59,9 @@ func main() {
 		return
 	}
 	cfg := o.World.Cfg // defaults filled in
-	fmt.Printf("scenario: SSID %q, AP ch %d", cfg.SSID, cfg.APChannel)
+	fmt.Printf("scenario: SSID %q, AP ch %d", core.CorpSSID, core.CorpChannel)
 	if cfg.Rogue {
-		fmt.Printf(", rogue ch %d (cloned BSSID %v)", cfg.RogueChannel, cfg.RogueCloneBSSID)
+		fmt.Printf(", rogue ch %d (cloned BSSID %v)", core.RogueChannel, cfg.RogueCloneBSSID)
 	}
 	fmt.Println()
 	for _, m := range o.Milestones {

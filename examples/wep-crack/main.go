@@ -45,7 +45,7 @@ func main() {
 	// Generate some real over-the-air WEP traffic.
 	k.RunUntil(5 * sim.Second)
 	for i := 0; i < 200; i++ {
-		sta.NIC().Send(bssid, ethernet.TypeIPv4, []byte("client chatter over WEP"))
+		sta.NIC().SendBuf(bssid, ethernet.TypeIPv4, k.BufPool().GetCopy([]byte("client chatter over WEP")))
 	}
 	k.RunUntil(10 * sim.Second)
 	fmt.Printf("over-the-air: sniffer captured %d frames (%d with weak IVs)\n",

@@ -249,7 +249,7 @@ func (c *Client) sendRequest(ip inet.Addr, p *pending) {
 	p.attempts++
 	c.RequestsSent++
 	req := Packet{Op: OpRequest, SenderHW: c.nic.HWAddr(), SenderIP: c.ip, TargetIP: ip}
-	c.nic.Send(ethernet.BroadcastMAC, ethernet.TypeARP, req.Marshal())
+	c.send(ethernet.BroadcastMAC, req)
 	p.timer = c.kernel.After(c.cfg.RequestTimeout, func() {
 		if _, still := c.wait[ip]; !still {
 			return
@@ -268,7 +268,12 @@ func (c *Client) sendRequest(ip inet.Addr, p *pending) {
 // Announce sends a gratuitous ARP for the local address.
 func (c *Client) Announce() {
 	g := Packet{Op: OpRequest, SenderHW: c.nic.HWAddr(), SenderIP: c.ip, TargetIP: c.ip}
-	c.nic.Send(ethernet.BroadcastMAC, ethernet.TypeARP, g.Marshal())
+	c.send(ethernet.BroadcastMAC, g)
+}
+
+// send transmits p to dst in a pooled copy of its wire form.
+func (c *Client) send(dst ethernet.MAC, p Packet) {
+	c.nic.SendBuf(dst, ethernet.TypeARP, c.kernel.BufPool().GetCopy(p.Marshal()))
 }
 
 // HandleFrame processes a received ARP payload.
@@ -295,7 +300,7 @@ func (c *Client) HandleFrame(payload []byte) {
 				SenderHW: c.nic.HWAddr(), SenderIP: p.TargetIP,
 				TargetHW: p.SenderHW, TargetIP: p.SenderIP,
 			}
-			c.nic.Send(p.SenderHW, ethernet.TypeARP, resp.Marshal())
+			c.send(p.SenderHW, resp)
 		}
 	case OpReply:
 		c.RepliesSeen++

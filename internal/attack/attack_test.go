@@ -152,7 +152,7 @@ func TestMACHarvester(t *testing.T) {
 	// Give the harvester some data traffic to see.
 	ap.HostNIC().SetReceiver(func(f ethernet.Frame) {})
 	for i := 0; i < 5; i++ {
-		victim.NIC().Send(corpBSSID, ethernet.TypeIPv4, []byte("x"))
+		victim.NIC().SendBuf(corpBSSID, ethernet.TypeIPv4, k.BufPool().GetCopy([]byte("x")))
 	}
 	k.RunUntil(k.Now() + sim.Second)
 	macs := h.ClientMACs()

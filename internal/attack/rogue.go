@@ -30,6 +30,14 @@ import (
 	"repro/internal/wep"
 )
 
+// rogueTxPowerDBm is the rogue AP card's transmit power: the same 15 dBm as
+// every other radio, so the rogue wins on proximity, not volume.
+const rogueTxPowerDBm = 15
+
+// targetPort is the port of the website whose responses are rewritten (the
+// paper's "Target-IP", port 80).
+const targetPort inet.Port = 80
+
 // RogueKitConfig configures the attacker's laptop.
 type RogueKitConfig struct {
 	// SSID to impersonate (the paper's "CORP").
@@ -46,8 +54,6 @@ type RogueKitConfig struct {
 	// StationMAC is the client-side interface's MAC — possibly a harvested
 	// valid MAC if the network filters.
 	StationMAC ethernet.MAC
-	// RogueTxPowerDBm lets the rogue out-shout the real AP (default 15).
-	RogueTxPowerDBm float64
 	// WlanIP / EthIP and Prefix follow Appendix A's addressing (two
 	// interfaces in the flat LAN subnet).
 	WlanIP, EthIP inet.Addr
@@ -55,15 +61,12 @@ type RogueKitConfig struct {
 	// DefaultGW is Appendix A's "route add default gw 10.0.0.1": the real
 	// network's router, reached through the client-side interface.
 	DefaultGW inet.Addr
-	// TargetIP/TargetPort select the website whose responses are rewritten
-	// (the paper's "Target-IP", port 80).
-	TargetIP   inet.Addr
-	TargetPort inet.Port
+	// TargetIP selects the website whose responses are rewritten (the
+	// paper's "Target-IP", on targetPort).
+	TargetIP inet.Addr
 	// NetsedRules are the substitutions, in netsed's s/from/to syntax.
+	// netsed matches them per segment, faithful to the paper's tool.
 	NetsedRules []string
-	// StreamingNetsed selects the boundary-safe rewriter (§4.2's
-	// anticipated improvement) instead of faithful per-segment matching.
-	StreamingNetsed bool
 	// PoisonUpstream sends gratuitous ARP on the client side for victim
 	// addresses learned behind the rogue AP, so the real network re-learns
 	// them immediately instead of waiting for cache expiry.
@@ -95,12 +98,6 @@ type RogueKit struct {
 // NewRogueKit builds and starts the attack. The two radios are placed at
 // pos; the station side starts scanning immediately.
 func NewRogueKit(k *sim.Kernel, medium *phy.Medium, pos phy.Position, cfg RogueKitConfig) (*RogueKit, error) {
-	if cfg.RogueTxPowerDBm == 0 {
-		cfg.RogueTxPowerDBm = 15
-	}
-	if cfg.TargetPort == 0 {
-		cfg.TargetPort = 80
-	}
 	kit := &RogueKit{cfg: cfg}
 
 	// Client-side card, associating to the real network like any station.
@@ -118,7 +115,7 @@ func NewRogueKit(k *sim.Kernel, medium *phy.Medium, pos phy.Position, cfg RogueK
 	// AP-side card in Master mode: same SSID, same (cloned) BSSID, same
 	// WEP key, different channel.
 	apRadio := medium.AddRadio(phy.RadioConfig{
-		Name: "rogue-wlan0", Pos: pos, Channel: cfg.Channel, TxPowerDBm: cfg.RogueTxPowerDBm,
+		Name: "rogue-wlan0", Pos: pos, Channel: cfg.Channel, TxPowerDBm: rogueTxPowerDBm,
 	})
 	kit.AP = dot11.NewAP(k, apRadio, dot11.APConfig{
 		SSID:    cfg.SSID,
@@ -160,7 +157,7 @@ func NewRogueKit(k *sim.Kernel, medium *phy.Medium, pos phy.Position, cfg RogueK
 				SenderHW: kit.STA.NIC().HWAddr(), SenderIP: p.SenderIP,
 				TargetIP: p.SenderIP,
 			}
-			kit.STA.NIC().Send(ethernet.BroadcastMAC, ethernet.TypeARP, claim.Marshal())
+			kit.STA.NIC().SendBuf(ethernet.BroadcastMAC, ethernet.TypeARP, k.BufPool().GetCopy(claim.Marshal()))
 		}
 	}
 
@@ -170,7 +167,7 @@ func NewRogueKit(k *sim.Kernel, medium *phy.Medium, pos phy.Position, cfg RogueK
 		kit.FW.RegisterInvariants(k)
 		kit.IP.AddHook(kit.FW)
 		cmd := "iptables -t nat -A PREROUTING -p tcp -d " + cfg.TargetIP.String() +
-			" --dport " + cfg.TargetPort.String() +
+			" --dport " + targetPort.String() +
 			" -j DNAT --to " + cfg.WlanIP.String() + ":10101"
 		if _, err := kit.FW.ParseIptables(cmd); err != nil {
 			return nil, err
@@ -178,9 +175,8 @@ func NewRogueKit(k *sim.Kernel, medium *phy.Medium, pos phy.Position, cfg RogueK
 		// And netsed listening where the DNAT points.
 		proxy, err := netsed.Start(kit.TCP, netsed.Config{
 			ListenPort: 10101,
-			Upstream:   inet.HostPort{Addr: cfg.TargetIP, Port: cfg.TargetPort},
+			Upstream:   inet.HostPort{Addr: cfg.TargetIP, Port: targetPort},
 			Rules:      cfg.NetsedRules,
-			Streaming:  cfg.StreamingNetsed,
 		})
 		if err != nil {
 			return nil, err

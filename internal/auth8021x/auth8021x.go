@@ -195,7 +195,7 @@ func (a *Authenticator) Authorized(mac ethernet.MAC) bool {
 }
 
 func (a *Authenticator) send(dst ethernet.MAC, eapPkt []byte) {
-	a.nic.Send(dst, EtherTypeEAPOL, eapol(eapolEAPPacket, eapPkt))
+	a.nic.SendBuf(dst, EtherTypeEAPOL, pkt.Wrap(eapol(eapolEAPPacket, eapPkt)))
 }
 
 func (a *Authenticator) onEAPOL(src ethernet.MAC, payload []byte) {
@@ -296,7 +296,7 @@ func (s *Supplicant) Authorized() bool { return s.authorized }
 // Start begins (or restarts) authentication: EAPOL-Start to the PAE group.
 func (s *Supplicant) Start() {
 	s.authorized = false
-	s.nic.Send(PAEGroupMAC, EtherTypeEAPOL, eapol(eapolStart, nil))
+	s.nic.SendBuf(PAEGroupMAC, EtherTypeEAPOL, pkt.Wrap(eapol(eapolStart, nil)))
 }
 
 func (s *Supplicant) onEAPOL(payload []byte) {
@@ -312,7 +312,7 @@ func (s *Supplicant) onEAPOL(payload []byte) {
 		switch typ {
 		case eapTypeIdentity:
 			resp := eap(eapResponse, id, eapTypeIdentity, []byte(s.identity))
-			s.nic.Send(PAEGroupMAC, EtherTypeEAPOL, eapol(eapolEAPPacket, resp))
+			s.nic.SendBuf(PAEGroupMAC, EtherTypeEAPOL, pkt.Wrap(eapol(eapolEAPPacket, resp)))
 		case eapTypeMD5:
 			if len(data) < 1 || int(data[0]) > len(data)-1 {
 				return
@@ -321,7 +321,7 @@ func (s *Supplicant) onEAPOL(payload []byte) {
 			proof := md5Response(id, s.password, challenge)
 			body := append([]byte{byte(len(proof))}, proof...)
 			resp := eap(eapResponse, id, eapTypeMD5, body)
-			s.nic.Send(PAEGroupMAC, EtherTypeEAPOL, eapol(eapolEAPPacket, resp))
+			s.nic.SendBuf(PAEGroupMAC, EtherTypeEAPOL, pkt.Wrap(eapol(eapolEAPPacket, resp)))
 		}
 	case eapSuccess:
 		// This is the flaw: Success is a bare, unauthenticated code. The
@@ -350,11 +350,6 @@ func (s *Supplicant) MTU() int { return s.nic.MTU() }
 
 // SetReceiver implements ethernet.NIC (the IP stack's receiver).
 func (s *Supplicant) SetReceiver(r ethernet.Receiver) { s.inner = r }
-
-// Send implements ethernet.NIC.
-func (s *Supplicant) Send(dst ethernet.MAC, t ethernet.EtherType, payload []byte) {
-	s.nic.Send(dst, t, payload)
-}
 
 // SendBuf implements ethernet.NIC, passing ownership straight through.
 func (s *Supplicant) SendBuf(dst ethernet.MAC, t ethernet.EtherType, pb *pkt.Buf) {

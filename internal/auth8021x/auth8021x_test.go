@@ -85,7 +85,7 @@ func TestPortGateBlocksUnauthorized(t *testing.T) {
 	w := newWorld(t, map[string]string{"alice": "hunter2"}, "alice", "wrong", false)
 	w.k.RunUntil(10 * sim.Second)
 	before := w.ap.GateDrops
-	w.supp.Send(bssid, ethernet.TypeIPv4, []byte("sneaky"))
+	w.supp.SendBuf(bssid, ethernet.TypeIPv4, w.k.BufPool().GetCopy([]byte("sneaky")))
 	w.k.RunFor(sim.Second)
 	if w.ap.GateDrops != before+1 {
 		t.Fatalf("GateDrops %d -> %d, want +1", before, w.ap.GateDrops)
@@ -106,7 +106,7 @@ func TestPortGatePassesAuthorized(t *testing.T) {
 	port := sw.Attach(dstMAC)
 	var got []byte
 	port.SetReceiver(func(f ethernet.Frame) { got = append([]byte{}, f.Payload...) })
-	w.supp.Send(dstMAC, ethernet.TypeIPv4, []byte("legit"))
+	w.supp.SendBuf(dstMAC, ethernet.TypeIPv4, w.k.BufPool().GetCopy([]byte("legit")))
 	w.k.RunFor(sim.Second)
 	if string(got) != "legit" {
 		t.Fatalf("authorized traffic did not pass: %q", got)
@@ -147,7 +147,7 @@ func TestLogoffClosesPort(t *testing.T) {
 	if !w.auth.Authorized(staMAC) {
 		t.Fatal("setup: not authorized")
 	}
-	w.supp.Send(PAEGroupMAC, EtherTypeEAPOL, eapol(eapolLogoff, nil))
+	w.supp.SendBuf(PAEGroupMAC, EtherTypeEAPOL, w.k.BufPool().GetCopy(eapol(eapolLogoff, nil)))
 	w.k.RunFor(sim.Second)
 	if w.auth.Authorized(staMAC) {
 		t.Fatal("port still open after logoff")

@@ -84,11 +84,24 @@ func TestScenarioOutcomesStable(t *testing.T) {
 // check is a single bounded-sim-time assertion inside the run — there is no
 // "eventually" polling anywhere, so a recovery that merely *usually* happens
 // in time fails here.
+//
+// The detect world rides along under every builtin it has targets for (all
+// but relay-drop): the victim must be associated again at the deadline, and
+// the sensor must still have flagged the rogue.
 func TestChaosConvergence(t *testing.T) {
-	for _, name := range []string{"chaos-deauth", "chaos-apcrash", "chaos-burst", "chaos-relay"} {
+	type point struct{ scenario, faults string }
+	points := []point{{"chaos-deauth", ""}, {"chaos-apcrash", ""}, {"chaos-burst", ""}, {"chaos-relay", ""}}
+	for _, sched := range []string{"ap-restart", "burst-loss", "deauth-storm", "link-flap", "mixed"} {
+		points = append(points, point{"detect", sched})
+	}
+	for _, p := range points {
+		name := p.scenario
+		if p.faults != "" {
+			name += "+" + p.faults
+		}
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range determinismSeeds {
-				o, err := core.RunScenarioOpts(name, seed, core.ScenarioOpts{Checks: true})
+				o, err := core.RunScenarioOpts(p.scenario, seed, core.ScenarioOpts{Checks: true, Faults: p.faults})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,6 +110,9 @@ func TestChaosConvergence(t *testing.T) {
 				}
 				if o.Download.Err != nil {
 					t.Errorf("seed %d: %s download failed outright: %v", seed, name, o.Download.Err)
+				}
+				if p.scenario == "detect" && len(o.Alerts) == 0 {
+					t.Errorf("seed %d: %s raised no alerts", seed, name)
 				}
 			}
 		})

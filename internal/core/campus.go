@@ -23,6 +23,10 @@ import (
 // CampusSSID is the ESS every campus AP (and the rogue) advertises.
 const CampusSSID = "CAMPUS"
 
+// campusRoguePowerDBm is the campus rogue's transmit power: a 6 dB shout
+// over the campus radios' 15 dBm.
+const campusRoguePowerDBm = 21
+
 // CampusRogueBSSID is the rogue AP's own BSSID. It deliberately does NOT
 // clone a real AP's address: capture is counted by which BSSID a station
 // lands on, and a distinct address keeps that observable.
@@ -37,12 +41,10 @@ type CampusConfig struct {
 	// Checks enables kernel invariant checking.
 	Checks bool
 
-	// Rogue plants a high-power AP cloning CampusSSID beside AP 0's
-	// cluster; stations that hear it louder than their home AP join it.
+	// Rogue plants a high-power AP (campusRoguePowerDBm) cloning
+	// CampusSSID beside AP 0's cluster; stations that hear it louder than
+	// their home AP join it.
 	Rogue bool
-	// RoguePowerDBm defaults to 21 dBm — a 6 dB shout over the campus
-	// radios' 15.
-	RoguePowerDBm float64
 
 	// Faults, when set, is a fault schedule (builtin name or raw string)
 	// armed against station 0 and its home AP — the campus analogue of
@@ -77,9 +79,16 @@ type CampusWorld struct {
 // NewCampusWorld generates (or validates) the topology and assembles the
 // world. Construction-time misconfiguration panics, like NewWorld.
 func NewCampusWorld(cfg CampusConfig) *CampusWorld {
-	if cfg.RoguePowerDBm == 0 {
-		cfg.RoguePowerDBm = 21
+	w, err := newCampusWorld(cfg)
+	if err != nil {
+		panic(err)
 	}
+	return w
+}
+
+// newCampusWorld assembles the campus, reporting a fault schedule the
+// campus cannot host as an error.
+func newCampusWorld(cfg CampusConfig) (*CampusWorld, error) {
 	if cfg.Topology.Seed == 0 {
 		cfg.Topology.Seed = cfg.Seed
 	}
@@ -116,7 +125,7 @@ func NewCampusWorld(cfg CampusConfig) *CampusWorld {
 		radio := w.Medium.AddRadio(phy.RadioConfig{
 			Name:    "campus-rogue",
 			Pos:     phy.Position{X: home.Pos.X + 6, Y: home.Pos.Y + 4},
-			Channel: ch, TxPowerDBm: cfg.RoguePowerDBm,
+			Channel: ch, TxPowerDBm: campusRoguePowerDBm,
 		})
 		w.Rogue = dot11.NewAP(w.Kernel, radio, dot11.APConfig{
 			SSID: CampusSSID, BSSID: CampusRogueBSSID, Channel: ch,
@@ -139,9 +148,11 @@ func NewCampusWorld(cfg CampusConfig) *CampusWorld {
 	}
 
 	if cfg.Faults != "" {
-		w.installFaults()
+		if err := w.installFaults(); err != nil {
+			return nil, err
+		}
 	}
-	return w
+	return w, nil
 }
 
 // scheduleTraffic schedules the station's offered-load kickoff: nothing for
@@ -175,7 +186,7 @@ func (w *CampusWorld) scheduleTraffic(i int, sta *dot11.STA, p STAPlacement) {
 						return
 					}
 					payload[4] = byte(n)
-					sta.NIC().Send(bssid, ethernet.TypeIPv4, payload)
+					sta.NIC().SendBuf(bssid, ethernet.TypeIPv4, w.Kernel.BufPool().GetCopy(payload))
 				})
 			}
 		}
@@ -187,13 +198,13 @@ func (w *CampusWorld) scheduleTraffic(i int, sta *dot11.STA, p STAPlacement) {
 // installFaults arms the chaos engine against the campus: station 0 is the
 // victim, its home AP the crash/quiet target — the same roles the
 // single-victim worlds give the corp AP and the victim laptop.
-func (w *CampusWorld) installFaults() {
+func (w *CampusWorld) installFaults() error {
 	sched, err := faults.Resolve(w.Cfg.Faults)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	if len(w.STAs) == 0 {
-		panic(fmt.Errorf("campus: fault schedule %q needs at least one station", w.Cfg.Faults))
+		return fmt.Errorf("campus: fault schedule %q needs at least one station", w.Cfg.Faults)
 	}
 	victim := w.Topo.STAs[0]
 	home := w.Topo.APs[victim.Home]
@@ -207,9 +218,10 @@ func (w *CampusWorld) installFaults() {
 		AttackPos: phy.Position{X: victim.Pos.X + 2, Y: victim.Pos.Y},
 	})
 	if err := eng.Install(sched); err != nil {
-		panic(err)
+		return err
 	}
 	w.Faults = eng
+	return nil
 }
 
 // Run advances the campus by d.
@@ -275,7 +287,7 @@ const (
 const campusScenarioDuration = 12 * sim.Second
 
 // runCampusScenario drives the campus and campus-rogue scenarios.
-func runCampusScenario(name string, seed uint64, opts ScenarioOpts) *ScenarioOutcome {
+func runCampusScenario(name string, seed uint64, opts ScenarioOpts) (*ScenarioOutcome, error) {
 	cfg := CampusConfig{
 		Seed:   seed,
 		Checks: opts.Checks,
@@ -286,16 +298,16 @@ func runCampusScenario(name string, seed uint64, opts ScenarioOpts) *ScenarioOut
 			APs: campusScenarioAPs, STAs: campusScenarioSTAs,
 		},
 	}
-	w := NewCampusWorld(cfg)
+	w, err := newCampusWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
 	o := &ScenarioOutcome{Name: name, Campus: w}
 
 	w.Run(campusScenarioDuration)
+	quiescent := true
 	if w.Faults != nil {
-		// Same recovery contract as the chaos scenarios: a fixed deadline
-		// after the last fault clears, checked once.
-		if deadline := w.Faults.LastEnd() + convergenceGrace; deadline > w.Kernel.Now() {
-			w.Run(deadline - w.Kernel.Now())
-		}
+		quiescent = settleFaults(w.Kernel, w.Faults)
 	}
 
 	r := w.Result()
@@ -306,12 +318,11 @@ func runCampusScenario(name string, seed uint64, opts ScenarioOpts) *ScenarioOut
 		o.milestonef("rogue holds %d/%d stations (%.0f%% capture, %d frames harvested)",
 			r.OnRogue, r.STAs, 100*r.CaptureRate(), r.RogueFrames)
 	}
-	o.Converged = r.Associated == r.STAs
+	o.Converged = quiescent && r.Associated == r.STAs
 	if w.Faults != nil {
-		o.Converged = o.Converged && w.Faults.Quiescent()
 		o.milestonef("chaos converged: %v (faults applied %d, reverted %d)",
 			o.Converged, w.Faults.Applied, w.Faults.Reverted)
 	}
 	o.Digest = w.Kernel.Digest()
-	return o
+	return o, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -108,6 +109,30 @@ func TestBuiltinsWorkAgainstFullWorld(t *testing.T) {
 		}
 		if !o.Converged {
 			t.Errorf("builtin %q: %s scenario did not converge", name, scenario)
+		}
+	}
+}
+
+// TestScheduleTargetMismatchIsAnError pins that a valid schedule naming a
+// target the scenario's world lacks comes back from RunScenarioOpts as the
+// engine's Install error, with no outcome and no panic: a campus has no
+// wired uplink for corrupt, and only the mesh worlds have relay hosts.
+func TestScheduleTargetMismatchIsAnError(t *testing.T) {
+	for _, c := range []struct{ scenario, faults, want string }{
+		{"campus", "mixed", "UplinkPorts"},
+		{"campus-rogue", "mixed", "UplinkPorts"},
+		{"campus", "relay-drop", `unknown host "relay1"`},
+		{"vpn", "relay-drop", `unknown host "relay1"`},
+		{"detect", "relay-drop", `unknown host "relay1"`},
+		{"chaos-apcrash", "relay-drop", `unknown host "relay1"`},
+		{"healthy", "partition@5s+1s(host=nosuch)", `unknown host "nosuch"`},
+	} {
+		o, err := RunScenarioOpts(c.scenario, 1, ScenarioOpts{Faults: c.faults})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s + %s: err = %v, want one mentioning %s", c.scenario, c.faults, err, c.want)
+		}
+		if o != nil {
+			t.Errorf("%s + %s: got an outcome alongside the error", c.scenario, c.faults)
 		}
 	}
 }

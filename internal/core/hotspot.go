@@ -21,7 +21,6 @@ import (
 // whose home network has deployed an effective local security solution."
 type HotspotConfig struct {
 	Seed uint64
-	SSID string // default "FreeAirportWiFi"
 	// Hostile enables the operator's tampering (DNAT + netsed, like the
 	// rogue's MITM module); false gives an honest hotspot baseline.
 	Hostile bool
@@ -29,9 +28,6 @@ type HotspotConfig struct {
 	// internet side.
 	VPNServer  bool
 	VPNCarrier vpn.Carrier
-
-	FileContents   []byte
-	TrojanContents []byte
 }
 
 // Hotspot is the assembled world: victim —air— hotspot AP+gateway —wire—
@@ -71,21 +67,16 @@ var (
 // HotspotBSSID is the hotspot AP's address.
 var HotspotBSSID = ethernet.MustParseMAC("02:40:96:c0:ff:ee")
 
-func (c *HotspotConfig) fill() {
-	if c.SSID == "" {
-		c.SSID = "FreeAirportWiFi"
-	}
-	if c.FileContents == nil {
-		c.FileContents = []byte("GENUINE-SOFTWARE-RELEASE-1.0\n")
-	}
-	if c.TrojanContents == nil {
-		c.TrojanContents = []byte("TROJANED-SOFTWARE-FROM-YOUR-FRIENDLY-HOTSPOT\n")
-	}
-}
+// The hotspot's fixed content: the SSID it advertises, the genuine download
+// the internet site serves, and the trojan the operator swaps in.
+const (
+	HotspotSSID   = "FreeAirportWiFi"
+	hotspotFile   = "GENUINE-SOFTWARE-RELEASE-1.0\n"
+	hotspotTrojan = "TROJANED-SOFTWARE-FROM-YOUR-FRIENDLY-HOTSPOT\n"
+)
 
 // NewHotspot assembles the scenario.
 func NewHotspot(cfg HotspotConfig) *Hotspot {
-	cfg.fill()
 	h := &Hotspot{Cfg: cfg}
 	h.Kernel = sim.NewKernel(cfg.Seed)
 	h.Medium = phy.NewMedium(h.Kernel, phy.Config{})
@@ -95,7 +86,7 @@ func NewHotspot(cfg HotspotConfig) *Hotspot {
 	// The operator's AP — open network, as hotspots were.
 	apRadio := h.Medium.AddRadio(phy.RadioConfig{Name: "hotspot-ap", Channel: 6})
 	ap := dot11.NewAP(h.Kernel, apRadio, dot11.APConfig{
-		SSID: cfg.SSID, BSSID: HotspotBSSID, Channel: 6,
+		SSID: HotspotSSID, BSSID: HotspotBSSID, Channel: 6,
 	})
 
 	// The operator's gateway: wlan0 = the AP's host side, wan0 = wire.
@@ -112,8 +103,8 @@ func NewHotspot(cfg HotspotConfig) *Hotspot {
 		if _, err := h.GatewayFW.ParseIptables(cmd); err != nil {
 			panic(err)
 		}
-		trojanSite := &httpx.DownloadSite{FileName: "trojan.tgz", Contents: cfg.TrojanContents}
-		genuineSite := &httpx.DownloadSite{FileName: GenuineFile, Contents: cfg.FileContents}
+		trojanSite := &httpx.DownloadSite{FileName: "trojan.tgz", Contents: []byte(hotspotTrojan)}
+		genuineSite := &httpx.DownloadSite{FileName: GenuineFile, Contents: []byte(hotspotFile)}
 		trojanURL := "http:%2f%2f" + HotspotGateway.String() + "%2ftrojan.tgz"
 		proxy, err := netsed.Start(h.Gateway.TCP, netsed.Config{
 			ListenPort: 10101,
@@ -130,7 +121,7 @@ func NewHotspot(cfg HotspotConfig) *Hotspot {
 		// The operator serves the trojan from the gateway itself.
 		gwWeb := httpx.NewServer(h.Gateway.TCP)
 		gwWeb.Handle("/trojan.tgz", func(req *httpx.Request) *httpx.Response {
-			return httpx.NewResponse(200, "application/octet-stream", cfg.TrojanContents)
+			return httpx.NewResponse(200, "application/octet-stream", []byte(hotspotTrojan))
 		})
 		if err := gwWeb.Start(80); err != nil {
 			panic(err)
@@ -144,7 +135,7 @@ func NewHotspot(cfg HotspotConfig) *Hotspot {
 	// Return route for hotspot clients goes back through the gateway —
 	// which IS the backbone router in this topology.
 	h.WebServer = httpx.NewServer(h.Web.TCP)
-	h.Site = &httpx.DownloadSite{FileName: GenuineFile, Contents: cfg.FileContents}
+	h.Site = &httpx.DownloadSite{FileName: GenuineFile, Contents: []byte(hotspotFile)}
 	h.Site.Install(h.WebServer)
 	if err := h.WebServer.Start(80); err != nil {
 		panic(err)
@@ -171,7 +162,7 @@ func NewHotspot(cfg HotspotConfig) *Hotspot {
 
 	// The roaming victim.
 	radio := h.Medium.AddRadio(phy.RadioConfig{Name: "victim", Pos: phy.Position{X: 15}, Channel: 1})
-	sta := dot11.NewSTA(h.Kernel, radio, dot11.STAConfig{MAC: VictimMAC, SSID: cfg.SSID})
+	sta := dot11.NewSTA(h.Kernel, radio, dot11.STAConfig{MAC: VictimMAC, SSID: HotspotSSID})
 	h.Victim = &WirelessHost{Host: newHost(h.Kernel, "victim"), STA: sta, Radio: radio}
 	h.Victim.IP.AddIface("wlan0", sta.NIC(), HotspotVictim, HotspotPrefix)
 	h.Victim.IP.AddDefaultRoute(HotspotGateway, "wlan0")
@@ -217,7 +208,6 @@ func (h *Hotspot) EnableVictimVPN(done func(error)) {
 // VictimDownload runs the download-and-verify flow against the internet
 // site through the hotspot.
 func (h *Hotspot) VictimDownload(done func(DownloadResult)) {
-	genuine := h.Cfg.FileContents
 	pageHP := inet.HostPort{Addr: WebServerIP, Port: 80}
-	downloadFlow(h.VictimClient, pageHP, genuine, done)
+	downloadFlow(h.VictimClient, pageHP, []byte(hotspotFile), done)
 }

@@ -38,7 +38,7 @@ func TestHostileHotspotCompromisesVictim(t *testing.T) {
 	if !res.Compromised() {
 		t.Fatalf("hostile hotspot did not compromise: %+v", res)
 	}
-	if !bytes.Equal(res.Body, h.Cfg.TrojanContents) {
+	if !bytes.Equal(res.Body, []byte(hotspotTrojan)) {
 		t.Fatal("victim did not get the operator's trojan")
 	}
 	if h.Netsed.Connections == 0 {

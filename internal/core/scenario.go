@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/detect"
+	"repro/internal/faults"
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/wep"
@@ -146,7 +147,7 @@ func RunScenarioOpts(name string, seed uint64, opts ScenarioOpts) (*ScenarioOutc
 	if name == "campus" || name == "campus-rogue" {
 		// Campus scenarios build a generated world, not the single-victim
 		// Config world, so they dispatch before ScenarioConfig.
-		return runCampusScenario(name, seed, opts), nil
+		return runCampusScenario(name, seed, opts)
 	}
 	cfg, err := ScenarioConfig(name, seed)
 	if err != nil {
@@ -156,16 +157,31 @@ func RunScenarioOpts(name string, seed uint64, opts ScenarioOpts) (*ScenarioOutc
 	if opts.Faults != "" {
 		cfg.Faults = opts.Faults
 	}
-	if name == "detect" {
-		return runDetectScenario(name, cfg), nil
+	w, err := newWorld(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return runDownloadScenario(name, cfg), nil
+	if name == "detect" {
+		return runDetectScenario(name, w), nil
+	}
+	return runDownloadScenario(name, w), nil
 }
 
 // convergenceGrace is the bounded window a chaos scenario gets to self-heal
 // after its LAST fault clears. The convergence claim is checked exactly once
 // at this deadline — no polling, no "eventually".
 const convergenceGrace = 30 * sim.Second
+
+// settleFaults is every runner's recovery contract: it runs the kernel to
+// the fixed deadline after the last fault clears and reports whether the
+// fault engine is quiescent there. Each runner ANDs in its own steady-state
+// check.
+func settleFaults(k *sim.Kernel, eng *faults.Engine) bool {
+	if deadline := eng.LastEnd() + convergenceGrace; deadline > k.Now() {
+		k.RunUntil(deadline)
+	}
+	return eng.Quiescent()
+}
 
 func (o *ScenarioOutcome) milestonef(format string, args ...any) {
 	var at sim.Time
@@ -181,8 +197,7 @@ func (o *ScenarioOutcome) milestonef(format string, args ...any) {
 	})
 }
 
-func runDownloadScenario(name string, cfg Config) *ScenarioOutcome {
-	w := NewWorld(cfg)
+func runDownloadScenario(name string, w *World) *ScenarioOutcome {
 	o := &ScenarioOutcome{Name: name, World: w}
 
 	w.VictimConnect()
@@ -216,12 +231,7 @@ func runDownloadScenario(name string, cfg Config) *ScenarioOutcome {
 	w.Run(60 * sim.Second)
 
 	if w.Faults != nil {
-		// Recovery guarantee: at a fixed deadline after the last fault
-		// clears, the network must be back in steady state.
-		if deadline := w.Faults.LastEnd() + convergenceGrace; deadline > w.Kernel.Now() {
-			w.Run(deadline - w.Kernel.Now())
-		}
-		o.Converged = w.Faults.Quiescent() && w.VictimAssociated() &&
+		o.Converged = settleFaults(w.Kernel, w.Faults) && w.VictimAssociated() &&
 			(!w.Cfg.VPNServer || (w.VictimVPN != nil && w.VictimVPN.Up()))
 		o.milestonef("chaos converged: %v (faults applied %d, reverted %d)",
 			o.Converged, w.Faults.Applied, w.Faults.Reverted)
@@ -234,8 +244,7 @@ func runDownloadScenario(name string, cfg Config) *ScenarioOutcome {
 	return o
 }
 
-func runDetectScenario(name string, cfg Config) *ScenarioOutcome {
-	w := NewWorld(cfg)
+func runDetectScenario(name string, w *World) *ScenarioOutcome {
 	o := &ScenarioOutcome{Name: name, World: w}
 
 	mon := w.NewSensor("sensor", phy.Position{X: 20}, 1)
@@ -246,6 +255,11 @@ func runDetectScenario(name string, cfg Config) *ScenarioOutcome {
 
 	w.VictimConnect()
 	w.Run(60 * sim.Second)
+	if w.Faults != nil {
+		o.Converged = settleFaults(w.Kernel, w.Faults) && w.VictimAssociated()
+		o.milestonef("chaos converged: %v (faults applied %d, reverted %d)",
+			o.Converged, w.Faults.Applied, w.Faults.Reverted)
+	}
 	o.Alerts = d.Alerts
 	o.FramesSeen = d.FramesSeen
 	o.Digest = w.Kernel.Digest()

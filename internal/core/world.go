@@ -50,11 +50,23 @@ var VictimMAC = ethernet.MustParseMAC("02:00:00:00:03:01")
 // RogueSTAMAC is the attacker's client-side card (before any cloning).
 var RogueSTAMAC = ethernet.MustParseMAC("02:00:00:00:66:01")
 
+// The corp network's radio plan (Figure 1): the real AP and the rogue both
+// advertise CorpSSID, the AP on CorpChannel and the rogue on RogueChannel.
+const (
+	CorpSSID                 = "CORP"
+	CorpChannel  phy.Channel = 1
+	RogueChannel phy.Channel = 6
+)
+
+// overlayKeepalive is the per-link DPD probe interval of the mesh links
+// (Config.Overlay). The links always need liveness: a partitioned relay
+// produces silence, not a TCP reset.
+const overlayKeepalive = sim.Second
+
 // Config selects what to build. The zero value is a healthy network: CORP AP
 // on channel 1, a victim, a router, and the target web site — no attacker.
 type Config struct {
 	Seed uint64
-	SSID string // default "CORP"
 
 	// Checks enables the kernel's invariant checking (sim.Kernel.
 	// SetInvariantChecks) for this world. It must be decided at
@@ -74,23 +86,16 @@ type Config struct {
 	// Geometry (defaults: AP at origin, victim 20 m away, rogue 5 m from
 	// the victim).
 	APPos, VictimPos, RoguePos phy.Position
-	APChannel                  phy.Channel // default 1
 	ShadowingSigmaDB           float64
 
 	// Rogue enables the attacker.
 	Rogue bool
-	// RogueChannel defaults to 6 (Figure 1).
-	RogueChannel phy.Channel
-	// RogueTxPowerDBm defaults to 15 (same as everyone).
-	RogueTxPowerDBm float64
 	// RogueCloneBSSID: clone the real BSSID (Figure 1 behaviour). If
 	// false the rogue uses its own BSSID (still same SSID).
 	RogueCloneBSSID bool
 	// RogueStationMAC overrides the attacker's client-side MAC (for the
 	// MAC-filter bypass, clone VictimMAC or a harvested MAC).
 	RogueStationMAC ethernet.MAC
-	// StreamingNetsed selects the boundary-safe rewriter.
-	StreamingNetsed bool
 	// ExtraNetsedRules appends additional substitutions to the rogue's
 	// netsed (e.g. §5.1's script injection into any trusted page).
 	ExtraNetsedRules []string
@@ -110,10 +115,6 @@ type Config struct {
 	// relays. The victim's tunnel then rides an overlay stream and fails
 	// over to the surviving chain when a relay dies. Implies VPNServer.
 	Overlay bool
-	// OverlayKeepalive is the per-link DPD probe interval of the mesh links
-	// (default 1 s when Overlay is set; the links always need liveness — a
-	// partitioned relay produces silence, not a TCP reset).
-	OverlayKeepalive sim.Time
 
 	// Faults names a chaos schedule for this world: either a builtin name
 	// (faults.BuiltinNames) or a raw schedule string like
@@ -126,21 +127,9 @@ type Config struct {
 	// blob); TrojanContents the attacker's replacement.
 	FileContents   []byte
 	TrojanContents []byte
-
-	// VictimJoinPolicy (default JoinBestRSSI, what firmware does).
-	VictimJoinPolicy dot11.JoinPolicy
 }
 
 func (c *Config) fill() {
-	if c.SSID == "" {
-		c.SSID = "CORP"
-	}
-	if c.APChannel == 0 {
-		c.APChannel = 1
-	}
-	if c.RogueChannel == 0 {
-		c.RogueChannel = 6
-	}
 	if c.VictimPos == (phy.Position{}) {
 		c.VictimPos = phy.Position{X: 20, Y: 0}
 	}
@@ -157,9 +146,6 @@ func (c *Config) fill() {
 	}
 	if c.Overlay {
 		c.VPNServer = true
-		if c.OverlayKeepalive == 0 {
-			c.OverlayKeepalive = sim.Second
-		}
 	}
 }
 
@@ -210,8 +196,19 @@ const TrojanPath = "/trojan.tgz"
 // GenuineFile is the paper's advertised artifact name.
 const GenuineFile = "file.tgz"
 
-// NewWorld builds a scenario.
+// NewWorld builds a scenario. Construction-time misconfiguration panics,
+// a fault schedule the world cannot host included.
 func NewWorld(cfg Config) *World {
+	w, err := newWorld(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return w
+}
+
+// newWorld builds a scenario, reporting a fault schedule the world cannot
+// host (one naming a target it lacks) as an error.
+func newWorld(cfg Config) (*World, error) {
 	cfg.fill()
 	w := &World{Cfg: cfg}
 	w.Kernel = sim.NewKernel(cfg.Seed)
@@ -224,17 +221,14 @@ func NewWorld(cfg Config) *World {
 	// --- The real AP: wireless BSS bridged onto the corp switch. ---
 	var acl []ethernet.MAC
 	if cfg.MACFilter {
+		// The ACL lists only legitimate devices: a cloned MAC walks in
+		// because it IS a listed value, and a distinct attacker MAC stays
+		// unlisted.
 		acl = []ethernet.MAC{VictimMAC}
-		if cfg.RogueStationMAC != (ethernet.MAC{}) && cfg.RogueStationMAC != VictimMAC {
-			// The ACL lists only legitimate devices; a cloned MAC walks in
-			// because it IS a listed value. Nothing to add here — that is
-			// the point. (A distinct attacker MAC stays unlisted.)
-			_ = acl
-		}
 	}
-	apRadio := w.Medium.AddRadio(phy.RadioConfig{Name: "corp-ap", Pos: cfg.APPos, Channel: cfg.APChannel})
+	apRadio := w.Medium.AddRadio(phy.RadioConfig{Name: "corp-ap", Pos: cfg.APPos, Channel: CorpChannel})
 	w.CorpAP = dot11.NewAP(w.Kernel, apRadio, dot11.APConfig{
-		SSID: cfg.SSID, BSSID: CorpBSSID, Channel: cfg.APChannel,
+		SSID: CorpSSID, BSSID: CorpBSSID, Channel: CorpChannel,
 		WEPKey: cfg.WEPKey, MACAllow: acl,
 	})
 	w.CorpUplink = w.CorpSwitch.Attach(w.Alloc.Next())
@@ -281,7 +275,7 @@ func NewWorld(cfg Config) *World {
 	}
 
 	// --- Victim laptop. ---
-	w.Victim = w.newWirelessHost("victim", VictimMAC, VictimIP, cfg.VictimPos, cfg.VictimJoinPolicy)
+	w.Victim = w.newWirelessHost("victim", VictimMAC, VictimIP, cfg.VictimPos)
 	w.VictimClient = httpx.NewClient(w.Victim.TCP)
 	if cfg.Overlay {
 		// The victim's overlay node dials both relays from the start; the
@@ -299,18 +293,19 @@ func NewWorld(cfg Config) *World {
 
 	// --- Chaos engine (last: it targets the assembled pieces). ---
 	if cfg.Faults != "" {
-		w.installFaults()
+		if err := w.installFaults(); err != nil {
+			return nil, err
+		}
 	}
-	return w
+	return w, nil
 }
 
 // installFaults resolves the configured schedule and arms the chaos engine
-// against this world's components. Config errors panic, like every other
-// construction-time misconfiguration in NewWorld.
-func (w *World) installFaults() {
+// against this world's components.
+func (w *World) installFaults() error {
 	sched, err := faults.Resolve(w.Cfg.Faults)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	hosts := map[string]*ipv4.Stack{
 		"victim": w.Victim.IP,
@@ -332,7 +327,7 @@ func (w *World) installFaults() {
 		STARadio:  w.Victim.Radio,
 		VictimMAC: VictimMAC,
 		BSSID:     CorpBSSID,
-		Channel:   w.Cfg.APChannel,
+		Channel:   CorpChannel,
 		// The deauther/jammer stands right next to the victim, like the
 		// rogue would.
 		AttackPos:   phy.Position{X: w.Cfg.VictimPos.X + 2, Y: w.Cfg.VictimPos.Y},
@@ -341,9 +336,10 @@ func (w *World) installFaults() {
 		DefaultHost: "victim",
 	})
 	if err := eng.Install(sched); err != nil {
-		panic(err)
+		return err
 	}
 	w.Faults = eng
+	return nil
 }
 
 // vpnPSK is the preestablished out-of-band secret.
@@ -356,7 +352,7 @@ func (w *World) vpnPSK() []byte { return []byte("corp-vpn-preshared-secret") }
 func (w *World) overlayNodeConfig(name string, role vpn.Role, advertise []inet.Prefix) vpn.NodeConfig {
 	return vpn.NodeConfig{
 		Name: name, Role: role, PSK: w.vpnPSK(), Advertise: advertise,
-		Keepalive:        w.Cfg.OverlayKeepalive,
+		Keepalive:        overlayKeepalive,
 		HandshakeTimeout: 2 * sim.Second,
 		BackoffBase:      500 * sim.Millisecond,
 		BackoffMax:       8 * sim.Second,
@@ -400,11 +396,13 @@ func (w *World) buildOverlayMesh(sCfg vpn.ServerConfig) {
 	w.VPNServer = srv
 }
 
-func (w *World) newWirelessHost(name string, mac ethernet.MAC, ip inet.Addr, pos phy.Position, policy dot11.JoinPolicy) *WirelessHost {
+// newWirelessHost joins a station to the corp ESS the way client firmware
+// does: JoinBestRSSI, the behaviour the rogue exploits.
+func (w *World) newWirelessHost(name string, mac ethernet.MAC, ip inet.Addr, pos phy.Position) *WirelessHost {
 	radio := w.Medium.AddRadio(phy.RadioConfig{Name: name, Pos: pos, Channel: 1})
 	sta := dot11.NewSTA(w.Kernel, radio, dot11.STAConfig{
-		MAC: mac, SSID: w.Cfg.SSID, WEPKey: w.Cfg.WEPKey,
-		SharedKeyAuth: w.Cfg.SharedKeyAuth, JoinPolicy: policy,
+		MAC: mac, SSID: CorpSSID, WEPKey: w.Cfg.WEPKey,
+		SharedKeyAuth: w.Cfg.SharedKeyAuth, JoinPolicy: dot11.JoinBestRSSI,
 	})
 	h := &WirelessHost{Host: newHost(w.Kernel, name), STA: sta, Radio: radio}
 	h.IP.AddIface("wlan0", sta.NIC(), ip, CorpPrefix)
@@ -436,21 +434,19 @@ func (w *World) buildRogue() {
 	}
 	rules = append(rules, cfg.ExtraNetsedRules...)
 	kit, err := attack.NewRogueKit(w.Kernel, w.Medium, cfg.RoguePos, attack.RogueKitConfig{
-		SSID:            cfg.SSID,
-		CloneBSSID:      bssid,
-		Channel:         cfg.RogueChannel,
-		WEPKey:          cfg.WEPKey,
-		StationMAC:      staMAC,
-		RogueTxPowerDBm: cfg.RogueTxPowerDBm,
-		WlanIP:          RogueWlan,
-		EthIP:           RogueEth,
-		Prefix:          CorpPrefix,
-		DefaultGW:       RouterCorp,
-		TargetIP:        WebServerIP,
-		NetsedRules:     rules,
-		StreamingNetsed: cfg.StreamingNetsed,
-		PoisonUpstream:  true,
-		DisableMITM:     cfg.RoguePureRelay,
+		SSID:           CorpSSID,
+		CloneBSSID:     bssid,
+		Channel:        RogueChannel,
+		WEPKey:         cfg.WEPKey,
+		StationMAC:     staMAC,
+		WlanIP:         RogueWlan,
+		EthIP:          RogueEth,
+		Prefix:         CorpPrefix,
+		DefaultGW:      RouterCorp,
+		TargetIP:       WebServerIP,
+		NetsedRules:    rules,
+		PoisonUpstream: true,
+		DisableMITM:    cfg.RoguePureRelay,
 	})
 	if err != nil {
 		panic(err)
@@ -520,7 +516,7 @@ func (w *World) VictimOnRogue() bool {
 		return false
 	}
 	return w.Victim.STA.State() == dot11.StateAssociated &&
-		w.Victim.STA.BSS().Channel == w.Cfg.RogueChannel
+		w.Victim.STA.BSS().Channel == RogueChannel
 }
 
 // VictimAssociated reports whether the victim is associated to anything.

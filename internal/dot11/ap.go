@@ -469,13 +469,9 @@ func (ap *AP) onUplinkFrame(f ethernet.Frame) {
 	ap.bridge(f.Src, f.Dst, f.Type, f.Payload, fromWire, nil)
 }
 
-// hostSend handles host-stack → BSS/wire traffic.
-func (ap *AP) hostSend(dst ethernet.MAC, t ethernet.EtherType, payload []byte) {
-	ap.bridge(ap.cfg.BSSID, dst, t, payload, fromHost, nil)
-}
-
-// hostSendBuf is the zero-copy host path: the bridge takes ownership of pb
-// and, when the frame only goes to the air, encapsulates it in place.
+// hostSendBuf handles host-stack → BSS/wire traffic: the bridge takes
+// ownership of pb and, when the frame only goes to the air, encapsulates it
+// in place.
 //
 //simvet:owner transfer forwards pb to bridge, which settles it on every path
 func (ap *AP) hostSendBuf(dst ethernet.MAC, t ethernet.EtherType, pb *pkt.Buf) {
@@ -558,9 +554,6 @@ type apHostNIC struct {
 func (n *apHostNIC) HWAddr() ethernet.MAC            { return n.ap.cfg.BSSID }
 func (n *apHostNIC) MTU() int                        { return ethernet.DefaultMTU }
 func (n *apHostNIC) SetReceiver(r ethernet.Receiver) { n.recv = r }
-func (n *apHostNIC) Send(dst ethernet.MAC, t ethernet.EtherType, payload []byte) {
-	n.ap.hostSend(dst, t, payload)
-}
 func (n *apHostNIC) SendBuf(dst ethernet.MAC, t ethernet.EtherType, pb *pkt.Buf) {
 	n.ap.hostSendBuf(dst, t, pb)
 }

@@ -44,6 +44,12 @@ func newWorld(t *testing.T, apCfg APConfig, staCfg STAConfig) *testWorld {
 	return &testWorld{k: k, m: m, ap: ap, st: st}
 }
 
+// send transmits a pooled copy of payload through nic, as a caller holding
+// only a byte slice does.
+func send(k *sim.Kernel, nic ethernet.NIC, dst ethernet.MAC, t ethernet.EtherType, payload []byte) {
+	nic.SendBuf(dst, t, k.BufPool().GetCopy(payload))
+}
+
 // settle runs the world long enough for a full scan + join.
 func (w *testWorld) settle() { w.k.RunUntil(w.k.Now() + 5*sim.Second) }
 
@@ -126,12 +132,12 @@ func TestDataTransferBetweenHostAndStation(t *testing.T) {
 	w.ap.HostNIC().SetReceiver(func(f ethernet.Frame) { atHost = append([]byte{}, f.Payload...) })
 	w.st.NIC().SetReceiver(func(f ethernet.Frame) { atSTA = append([]byte{}, f.Payload...) })
 
-	w.st.NIC().Send(macAP, ethernet.TypeIPv4, []byte("uplink"))
+	send(w.k, w.st.NIC(), macAP, ethernet.TypeIPv4, []byte("uplink"))
 	w.k.RunFor(100 * sim.Millisecond)
 	if string(atHost) != "uplink" {
 		t.Fatalf("host got %q", atHost)
 	}
-	w.ap.HostNIC().Send(macSTA, ethernet.TypeIPv4, []byte("downlink"))
+	send(w.k, w.ap.HostNIC(), macSTA, ethernet.TypeIPv4, []byte("downlink"))
 	w.k.RunFor(100 * sim.Millisecond)
 	if string(atSTA) != "downlink" {
 		t.Fatalf("station got %q", atSTA)
@@ -145,7 +151,7 @@ func TestWEPDataTransfer(t *testing.T) {
 	w.settle()
 	var got []byte
 	w.ap.HostNIC().SetReceiver(func(f ethernet.Frame) { got = append([]byte{}, f.Payload...) })
-	w.st.NIC().Send(macAP, ethernet.TypeIPv4, []byte("encrypted hello"))
+	send(w.k, w.st.NIC(), macAP, ethernet.TypeIPv4, []byte("encrypted hello"))
 	w.k.RunFor(100 * sim.Millisecond)
 	if string(got) != "encrypted hello" {
 		t.Fatalf("got %q", got)
@@ -178,7 +184,7 @@ func TestWEPOnAirCiphertextDiffers(t *testing.T) {
 		}
 	}
 	w.ap.HostNIC().SetReceiver(func(f ethernet.Frame) {})
-	w.st.NIC().Send(macAP, ethernet.TypeIPv4, []byte("secret payload"))
+	send(w.k, w.st.NIC(), macAP, ethernet.TypeIPv4, []byte("secret payload"))
 	w.k.RunFor(100 * sim.Millisecond)
 	if !sawProtected {
 		t.Fatal("no protected data frame observed")
@@ -334,14 +340,14 @@ func TestAPBridgesToUplink(t *testing.T) {
 	serverPort.SetReceiver(func(f ethernet.Frame) {
 		atServer = append([]byte{}, f.Payload...)
 		// Reply.
-		serverPort.Send(f.Src, ethernet.TypeIPv4, []byte("pong"))
+		send(w.k, serverPort, f.Src, ethernet.TypeIPv4, []byte("pong"))
 	})
 
 	w.st.Connect()
 	w.settle()
 	var atSTA []byte
 	w.st.NIC().SetReceiver(func(f ethernet.Frame) { atSTA = append([]byte{}, f.Payload...) })
-	w.st.NIC().Send(serverMAC, ethernet.TypeIPv4, []byte("ping"))
+	send(w.k, w.st.NIC(), serverMAC, ethernet.TypeIPv4, []byte("ping"))
 	w.k.RunFor(200 * sim.Millisecond)
 	if string(atServer) != "ping" {
 		t.Fatalf("server got %q", atServer)
@@ -364,7 +370,7 @@ func TestBroadcastFromStationReachesEverything(t *testing.T) {
 
 	w.st.Connect()
 	w.settle()
-	w.st.NIC().Send(ethernet.BroadcastMAC, ethernet.TypeARP, []byte("who-has"))
+	send(w.k, w.st.NIC(), ethernet.BroadcastMAC, ethernet.TypeARP, []byte("who-has"))
 	w.k.RunFor(200 * sim.Millisecond)
 	if !wiredGot || !hostGot {
 		t.Fatalf("broadcast wired=%v host=%v", wiredGot, hostGot)
@@ -406,7 +412,7 @@ func TestMonitorSeesAllTraffic(t *testing.T) {
 	w.settle()
 	w.ap.HostNIC().SetReceiver(func(f ethernet.Frame) {})
 	for i := 0; i < 10; i++ {
-		w.st.NIC().Send(macAP, ethernet.TypeIPv4, []byte("x"))
+		send(w.k, w.st.NIC(), macAP, ethernet.TypeIPv4, []byte("x"))
 	}
 	w.k.RunFor(time500ms())
 	if dataFrames < 10 {

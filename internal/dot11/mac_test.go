@@ -28,7 +28,7 @@ func TestMACAcksGenerated(t *testing.T) {
 	w.ap.HostNIC().SetReceiver(func(f ethernet.Frame) {})
 	before := w.ap.AcksSent
 	for i := 0; i < 10; i++ {
-		w.st.NIC().Send(macAP, ethernet.TypeIPv4, []byte("x"))
+		send(w.k, w.st.NIC(), macAP, ethernet.TypeIPv4, []byte("x"))
 	}
 	w.k.RunFor(sim.Second)
 	if w.ap.AcksSent-before < 10 {
@@ -50,7 +50,7 @@ func TestMACRetryRecoversLoss(t *testing.T) {
 	ap.HostNIC().SetReceiver(func(f ethernet.Frame) { got++ })
 	const n = 200
 	for i := 0; i < n; i++ {
-		st.NIC().Send(macAP, ethernet.TypeIPv4, []byte("payload"))
+		send(k, st.NIC(), macAP, ethernet.TypeIPv4, []byte("payload"))
 	}
 	k.RunUntil(k.Now() + 30*sim.Second)
 	if st.MACRetries == 0 {

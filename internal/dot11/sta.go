@@ -530,13 +530,6 @@ func (s *STA) onData(f Frame) {
 	}
 }
 
-// sendData transmits a ToDS data frame to the AP, copying the payload into a
-// pooled buffer (convenience path; the IP stack hands over owned buffers via
-// the NIC's SendBuf).
-func (s *STA) sendData(dst ethernet.MAC, t ethernet.EtherType, payload []byte) {
-	s.sendDataBuf(dst, t, s.kernel.BufPool().GetCopy(payload))
-}
-
 // sendDataBuf transmits a ToDS data frame, encapsulating in place: LLC, then
 // optionally WEP, then the MAC header, all pushed into pb's headroom. Takes
 // ownership of pb on every path.
@@ -568,9 +561,6 @@ type staNIC struct {
 func (n *staNIC) HWAddr() ethernet.MAC            { return n.sta.cfg.MAC }
 func (n *staNIC) MTU() int                        { return ethernet.DefaultMTU }
 func (n *staNIC) SetReceiver(r ethernet.Receiver) { n.recv = r }
-func (n *staNIC) Send(dst ethernet.MAC, t ethernet.EtherType, payload []byte) {
-	n.sta.sendData(dst, t, payload)
-}
 func (n *staNIC) SendBuf(dst ethernet.MAC, t ethernet.EtherType, pb *pkt.Buf) {
 	n.sta.sendDataBuf(dst, t, pb)
 }

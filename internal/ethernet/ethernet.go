@@ -151,22 +151,19 @@ type Receiver func(f Frame)
 
 // NIC is the link-layer service interface presented to the network layer by
 // any L2 attachment — a wired port, a WiFi station, or an AP's distribution
-// side. Send queues a frame for transmission; delivery is asynchronous in
+// side. SendBuf queues a frame for transmission; delivery is asynchronous in
 // virtual time.
 type NIC interface {
 	// HWAddr reports the interface's MAC address.
 	HWAddr() MAC
 	// MTU reports the maximum payload size.
 	MTU() int
-	// Send transmits payload to dst with the given EtherType. The payload is
-	// copied (or otherwise kept alive) by the NIC; convenient for cold paths
-	// and tests.
-	Send(dst MAC, t EtherType, payload []byte)
 	// SendBuf transmits an owned packet buffer to dst with the given
 	// EtherType, taking ownership of pb: the NIC (and the layers below it)
-	// release it when the frame leaves the system, on every path. This is
-	// the zero-copy spine — lower layers push their headers into pb's
-	// headroom instead of re-marshalling.
+	// release it when the frame leaves the system, on every path. It is the
+	// only transmit path — lower layers push their headers into pb's
+	// headroom instead of re-marshalling. A caller holding only a byte
+	// slice passes a copy (kernel.BufPool().GetCopy).
 	SendBuf(dst MAC, t EtherType, pb *pkt.Buf)
 	// SetReceiver installs the upper-layer frame handler. Frames addressed
 	// to this NIC (or broadcast/multicast) are delivered; NICs are not

@@ -127,6 +127,12 @@ func TestEtherTypeString(t *testing.T) {
 	}
 }
 
+// send transmits a pooled copy of payload from p, as a caller holding only a
+// byte slice does.
+func send(p *Port, dst MAC, t EtherType, payload []byte) {
+	p.SendBuf(dst, t, p.kernel.BufPool().GetCopy(payload))
+}
+
 func testPair(t *testing.T) (*sim.Kernel, *Port, *Port) {
 	t.Helper()
 	k := sim.NewKernel(1)
@@ -138,7 +144,7 @@ func TestCableDelivers(t *testing.T) {
 	k, a, b := testPair(t)
 	var got []byte
 	b.SetReceiver(func(f Frame) { got = append([]byte{}, f.Payload...) })
-	a.Send(b.HWAddr(), TypeIPv4, []byte("ping"))
+	send(a, b.HWAddr(), TypeIPv4, []byte("ping"))
 	k.Run()
 	if string(got) != "ping" {
 		t.Fatalf("got %q", got)
@@ -152,7 +158,7 @@ func TestCableFiltersForeignUnicast(t *testing.T) {
 	k, a, b := testPair(t)
 	delivered := false
 	b.SetReceiver(func(f Frame) { delivered = true })
-	a.Send(MustParseMAC("02:00:00:00:00:99"), TypeIPv4, []byte("x"))
+	send(a, MustParseMAC("02:00:00:00:00:99"), TypeIPv4, []byte("x"))
 	k.Run()
 	if delivered {
 		t.Fatal("foreign unicast delivered without promiscuous mode")
@@ -164,7 +170,7 @@ func TestCablePromiscuousSeesAll(t *testing.T) {
 	delivered := false
 	b.SetPromiscuous(true)
 	b.SetReceiver(func(f Frame) { delivered = true })
-	a.Send(MustParseMAC("02:00:00:00:00:99"), TypeIPv4, []byte("x"))
+	send(a, MustParseMAC("02:00:00:00:00:99"), TypeIPv4, []byte("x"))
 	k.Run()
 	if !delivered {
 		t.Fatal("promiscuous port missed frame")
@@ -175,7 +181,7 @@ func TestCableBroadcastDelivered(t *testing.T) {
 	k, a, b := testPair(t)
 	delivered := false
 	b.SetReceiver(func(f Frame) { delivered = true })
-	a.Send(BroadcastMAC, TypeARP, []byte("x"))
+	send(a, BroadcastMAC, TypeARP, []byte("x"))
 	k.Run()
 	if !delivered {
 		t.Fatal("broadcast not delivered")
@@ -189,7 +195,7 @@ func TestCableSerialisationDelay(t *testing.T) {
 		PortConfig{BitsPerSec: 8e6})
 	var at sim.Time
 	b.SetReceiver(func(f Frame) { at = k.Now() })
-	a.Send(b.HWAddr(), TypeIPv4, make([]byte, 1000))
+	send(a, b.HWAddr(), TypeIPv4, make([]byte, 1000))
 	k.Run()
 	want := sim.Time(1014)*sim.Microsecond + sim.Microsecond
 	if at != want {
@@ -203,8 +209,8 @@ func TestCableBackToBackFramesSerialise(t *testing.T) {
 		PortConfig{BitsPerSec: 8e6})
 	var times []sim.Time
 	b.SetReceiver(func(f Frame) { times = append(times, k.Now()) })
-	a.Send(b.HWAddr(), TypeIPv4, make([]byte, 986)) // 1000B frame = 1ms at 8Mb/s
-	a.Send(b.HWAddr(), TypeIPv4, make([]byte, 986))
+	send(a, b.HWAddr(), TypeIPv4, make([]byte, 986)) // 1000B frame = 1ms at 8Mb/s
+	send(a, b.HWAddr(), TypeIPv4, make([]byte, 986))
 	k.Run()
 	if len(times) != 2 {
 		t.Fatalf("delivered %d frames", len(times))
@@ -218,7 +224,7 @@ func TestCableDropsOversize(t *testing.T) {
 	k, a, b := testPair(t)
 	delivered := false
 	b.SetReceiver(func(f Frame) { delivered = true })
-	a.Send(b.HWAddr(), TypeIPv4, make([]byte, DefaultMTU+1))
+	send(a, b.HWAddr(), TypeIPv4, make([]byte, DefaultMTU+1))
 	k.Run()
 	if delivered {
 		t.Fatal("oversize frame delivered")
@@ -241,16 +247,16 @@ func TestSwitchLearnsAndForwards(t *testing.T) {
 
 	// First frame to an unknown MAC floods; after B replies, traffic to B
 	// goes only to B's port.
-	pa.Send(macB, TypeIPv4, []byte("1"))
+	send(pa, macB, TypeIPv4, []byte("1"))
 	k.Run()
 	if rx["b"] != 1 || rx["c"] != 0 {
 		// unknown dst floods, but C filters foreign unicast at its NIC;
 		// check the switch actually flooded by flipping C promiscuous.
 		t.Fatalf("after flood: rx=%v", rx)
 	}
-	pb.Send(macA, TypeIPv4, []byte("2"))
+	send(pb, macA, TypeIPv4, []byte("2"))
 	k.Run()
-	pa.Send(macB, TypeIPv4, []byte("3"))
+	send(pa, macB, TypeIPv4, []byte("3"))
 	k.Run()
 	if rx["b"] != 2 {
 		t.Fatalf("B did not receive learned unicast: rx=%v", rx)
@@ -284,12 +290,12 @@ func TestSwitchUnicastIsolation(t *testing.T) {
 	pb.SetReceiver(func(f Frame) {})
 
 	// Prime the table in both directions.
-	pa.Send(macB, TypeIPv4, []byte("x"))
-	pb.Send(macA, TypeIPv4, []byte("x"))
+	send(pa, macB, TypeIPv4, []byte("x"))
+	send(pb, macA, TypeIPv4, []byte("x"))
 	k.Run()
 	sniffed = 0
 	for i := 0; i < 100; i++ {
-		pa.Send(macB, TypeIPv4, []byte("secret"))
+		send(pa, macB, TypeIPv4, []byte("secret"))
 	}
 	k.Run()
 	if sniffed != 0 {
@@ -308,7 +314,7 @@ func TestSwitchBroadcastFloods(t *testing.T) {
 		ports[i] = sw.Attach(alloc.Next())
 		ports[i].SetReceiver(func(f Frame) { rx[i]++ })
 	}
-	ports[0].Send(BroadcastMAC, TypeARP, []byte("who-has"))
+	send(ports[0], BroadcastMAC, TypeARP, []byte("who-has"))
 	k.Run()
 	if rx[0] != 0 || rx[1] != 1 || rx[2] != 1 || rx[3] != 1 {
 		t.Fatalf("broadcast rx = %v", rx)
@@ -322,7 +328,7 @@ func TestSwitchAging(t *testing.T) {
 	macA, macB := alloc.Next(), alloc.Next()
 	pa := sw.Attach(macA)
 	sw.Attach(macB)
-	pa.Send(macB, TypeIPv4, []byte("x"))
+	send(pa, macB, TypeIPv4, []byte("x"))
 	k.Run()
 	if _, ok := sw.LookupPort(macA); !ok {
 		t.Fatal("A not learned")
@@ -345,7 +351,7 @@ func TestHubRepeatsToAll(t *testing.T) {
 	pb.SetReceiver(func(f Frame) {})
 	sniffed := 0
 	sniffer.SetReceiver(func(f Frame) { sniffed++ })
-	pa.Send(macB, TypeIPv4, []byte("secret"))
+	send(pa, macB, TypeIPv4, []byte("secret"))
 	k.Run()
 	if sniffed != 1 {
 		t.Fatalf("hub sniffer saw %d frames, want 1", sniffed)

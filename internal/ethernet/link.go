@@ -92,13 +92,6 @@ func (p *Port) SetReceiver(r Receiver) { p.recv = r }
 // like a sniffer on a tap. Used by experiment E8.
 func (p *Port) SetPromiscuous(on bool) { p.promiscuous = on }
 
-// Send implements NIC: it frames the payload and transmits on the cable.
-// The payload is copied into a pooled buffer (Transmit clones); hot paths
-// hand over an owned buffer via SendBuf instead.
-func (p *Port) Send(dst MAC, t EtherType, payload []byte) {
-	p.Transmit(Frame{Dst: dst, Src: p.mac, Type: t, Payload: payload})
-}
-
 // SendBuf implements NIC: zero-copy transmit of an owned packet buffer. The
 // port takes ownership of pb and releases it once the frame has been
 // delivered (or dropped).

@@ -63,7 +63,7 @@ func E1AssociationCapture(s Scale) Table {
 		if w.VictimOnRogue() {
 			return [2]bool{false, true} // captured without forcing
 		}
-		deauth := attack.NewDeauther(w.Kernel, w.Medium, cfg.RoguePos, cfg.APChannel)
+		deauth := attack.NewDeauther(w.Kernel, w.Medium, cfg.RoguePos, core.CorpChannel)
 		deauth.Flood(core.VictimMAC, core.CorpBSSID, 100*sim.Millisecond)
 		w.Run(15 * sim.Second)
 		deauth.Stop()

@@ -7,6 +7,7 @@ import (
 	"repro/internal/ethernet"
 	"repro/internal/ipv4"
 	"repro/internal/phy"
+	"repro/internal/pkt"
 	"repro/internal/sim"
 )
 
@@ -33,12 +34,12 @@ func TestEngineBurstWindow(t *testing.T) {
 	b.SetReceiver(func(data []byte, info phy.RxInfo) { delivered++ })
 
 	// One frame before, several inside, one after the window.
-	k.At(500*sim.Millisecond, func() { a.Send(make([]byte, 100), phy.Rate11Mbps) })
+	k.At(500*sim.Millisecond, func() { a.SendBuf(pkt.Wrap(make([]byte, 100)), phy.Rate11Mbps) })
 	for i := 0; i < 5; i++ {
 		at := sim.Time(1200+100*i) * sim.Millisecond
-		k.At(at, func() { a.Send(make([]byte, 100), phy.Rate11Mbps) })
+		k.At(at, func() { a.SendBuf(pkt.Wrap(make([]byte, 100)), phy.Rate11Mbps) })
 	}
-	k.At(3500*sim.Millisecond, func() { a.Send(make([]byte, 100), phy.Rate11Mbps) })
+	k.At(3500*sim.Millisecond, func() { a.SendBuf(pkt.Wrap(make([]byte, 100)), phy.Rate11Mbps) })
 	k.Run()
 
 	// pgb=1, loss=1: every in-window frame dies; both out-of-window frames
@@ -124,7 +125,7 @@ func TestEngineWireCorruptionAndDup(t *testing.T) {
 	// during the callback — copy before retaining (see DESIGN.md §9).
 	pb.SetReceiver(func(f ethernet.Frame) { rx = append(rx, append([]byte(nil), f.Payload...)) })
 	payload := []byte{1, 2, 3, 4}
-	send := func() { pa.Send(pb.HWAddr(), ethernet.TypeIPv4, payload) }
+	send := func() { pa.SendBuf(pb.HWAddr(), ethernet.TypeIPv4, k.BufPool().GetCopy(payload)) }
 	k.At(500*sim.Millisecond, send)  // clean
 	k.At(1500*sim.Millisecond, send) // corrupted
 	k.At(4500*sim.Millisecond, send) // duplicated
@@ -213,7 +214,7 @@ func TestEngineDeterministicDigest(t *testing.T) {
 		mustInstall(t, e, "burst@100ms+3s(pgb=0.3,pbg=0.3,loss=0.7)")
 		for i := 0; i < 40; i++ {
 			at := sim.Time(i*100) * sim.Millisecond
-			k.At(at, func() { a.Send(make([]byte, 200), phy.Rate11Mbps) })
+			k.At(at, func() { a.SendBuf(pkt.Wrap(make([]byte, 200)), phy.Rate11Mbps) })
 		}
 		k.Run()
 		return k.Digest()

@@ -78,7 +78,7 @@ func (s *Stack) handleICMP(pkt *Packet, in string) {
 				return
 			}
 		}
-		_ = s.Send(src, pkt.Src, ProtoICMP, reply.Marshal())
+		_ = s.sendICMP(src, pkt.Src, reply)
 	case ICMPEchoReply:
 		if s.onEchoReply != nil {
 			s.onEchoReply(pkt.Src, m.ID, m.Seq, m.Data)
@@ -90,7 +90,7 @@ func (s *Stack) handleICMP(pkt *Packet, in string) {
 // SetEchoHandler.
 func (s *Stack) Ping(dst inet.Addr, id, seq uint16, data []byte) error {
 	m := ICMPMessage{Type: ICMPEchoRequest, ID: id, Seq: seq, Data: data}
-	return s.Send(inet.Addr{}, dst, ProtoICMP, m.Marshal())
+	return s.sendICMP(inet.Addr{}, dst, m)
 }
 
 // SetEchoHandler registers the callback for echo replies.
@@ -104,5 +104,10 @@ func (s *Stack) sendICMPTimeExceeded(orig *Packet, in *Iface) {
 		quote = quote[:HeaderLen+8]
 	}
 	m := ICMPMessage{Type: ICMPTimeExceeded, Data: quote}
-	_ = s.Send(in.Addr, orig.Src, ProtoICMP, m.Marshal())
+	_ = s.sendICMP(in.Addr, orig.Src, m)
+}
+
+// sendICMP originates m in a pooled copy of its wire form.
+func (s *Stack) sendICMP(src, dst inet.Addr, m ICMPMessage) error {
+	return s.SendBuf(src, dst, ProtoICMP, s.kernel.BufPool().GetCopy(m.Marshal()))
 }

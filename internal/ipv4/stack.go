@@ -237,39 +237,11 @@ func (s *Stack) runHooks(point HookPoint, pkt *Packet, in, out string) Verdict {
 	return VerdictAccept
 }
 
-// Send originates a packet from this host. Src may be unspecified, in which
-// case the egress interface address is used.
-func (s *Stack) Send(src, dst inet.Addr, proto uint8, payload []byte) error {
-	if src.IsUnspecified() {
-		var err error
-		src, err = s.SrcAddrFor(dst)
-		if err != nil {
-			return err
-		}
-	}
-	s.nextID++
-	pkt := &Packet{
-		ID: s.nextID, TTL: DefaultTTL, Proto: proto,
-		Src: src, Dst: dst, Payload: payload,
-	}
-	if s.runHooks(HookOutput, pkt, "", "") == VerdictDrop {
-		return fmt.Errorf("ipv4: packet dropped by OUTPUT hook")
-	}
-	// Own unicast destination: deliver without touching the wire.
-	// Broadcasts still go out (neighbours answer; we do not loop back).
-	for _, ifc := range s.ifaces {
-		if ifc.Addr == pkt.Dst {
-			s.kernel.After(0, func() { s.deliverLocal(pkt, "lo") })
-			return nil
-		}
-	}
-	return s.route(pkt, "", nil)
-}
-
-// SendBuf originates a packet whose payload already sits in an owned pooled
-// buffer — the zero-copy transmit path. The IP header is pushed into the
-// buffer's headroom. Ownership of pb transfers to the stack: it is released
-// exactly once on every path, including errors.
+// SendBuf originates a packet from this host; it is the stack's only
+// transmit path. The payload sits in an owned buffer and the IP header is
+// pushed into its headroom. Src may be unspecified, in which case the egress
+// interface address is used. Ownership of pb transfers to the stack: it is
+// released exactly once on every path, including errors.
 func (s *Stack) SendBuf(src, dst inet.Addr, proto uint8, pb *pktbuf.Buf) error {
 	if src.IsUnspecified() {
 		var err error
@@ -302,11 +274,12 @@ func (s *Stack) SendBuf(src, dst inet.Addr, proto uint8, pb *pktbuf.Buf) error {
 	return s.route(pkt, "", pb)
 }
 
-// route finds the egress and transmits (used by Send, SendBuf, and
-// forwarding). pb, when non-nil, is an owned pooled buffer whose view is
-// pkt.Payload; route takes ownership, pushes the IP header into its headroom,
-// and releases it on every failure path. When pb is nil the payload is copied
-// into a fresh pooled buffer at transmit time.
+// route finds the egress and transmits (used by SendBuf and forwarding).
+// pb, when non-nil, is an owned pooled buffer whose view is pkt.Payload;
+// route takes ownership, pushes the IP header into its headroom, and
+// releases it on every failure path. Forwarding passes nil: the received
+// payload is a view the stack does not own, so it is copied into a fresh
+// pooled buffer at transmit time.
 //
 //simvet:owner transfer owns pb (which may be nil) and settles it on every path
 func (s *Stack) route(pkt *Packet, inIface string, pb *pktbuf.Buf) error {

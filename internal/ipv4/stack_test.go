@@ -138,7 +138,7 @@ func TestPingSelf(t *testing.T) {
 func TestNoRouteError(t *testing.T) {
 	k := sim.NewKernel(1)
 	hosts := lan(t, k, 1)
-	if err := hosts[0].stack.Send(inet.Addr{}, inet.MustParseAddr("192.168.9.9"), ProtoUDP, nil); err == nil {
+	if err := hosts[0].stack.SendBuf(inet.Addr{}, inet.MustParseAddr("192.168.9.9"), ProtoUDP, k.BufPool().Get()); err == nil {
 		t.Fatal("send off-subnet without route succeeded")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/pkt"
 	"repro/internal/sim"
 )
 
@@ -37,7 +38,7 @@ func benchmarkMediumBroadcast(b *testing.B, n int, flat bool) {
 	var events uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		radios[i%n].Send(payload, Rate11Mbps)
+		radios[i%n].SendBuf(pkt.Wrap(payload), Rate11Mbps)
 		// 512 bytes at 11 Mb/s is well under a millisecond: each iteration
 		// is one complete transmission plus its delivery fan-out.
 		events += k.RunFor(sim.Millisecond)
@@ -76,7 +77,7 @@ func benchmarkMediumBroadcastDense(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < denseSenders; j++ {
-			radios[(i*denseSenders+j)*37%denseRadios].Send(payload, Rate11Mbps)
+			radios[(i*denseSenders+j)*37%denseRadios].SendBuf(pkt.Wrap(payload), Rate11Mbps)
 		}
 		events += k.RunFor(sim.Millisecond)
 	}

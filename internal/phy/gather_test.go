@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/pkt"
 	"repro/internal/sim"
 )
 
@@ -140,7 +141,7 @@ func TestGatherMatchesSortedReference(t *testing.T) {
 				case 4:
 					k.RunFor(sim.Time(rng.Intn(2000)) * sim.Microsecond)
 				default:
-					r.Send(make([]byte, 100+rng.Intn(400)), Rate11Mbps)
+					r.SendBuf(pkt.Wrap(make([]byte, 100+rng.Intn(400))), Rate11Mbps)
 					active := m.shard(r.channel).active
 					tx := active[len(active)-1]
 					ref = refGatherInto(m, ref[:0], tx)

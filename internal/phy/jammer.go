@@ -3,6 +3,7 @@ package phy
 import (
 	"math"
 
+	"repro/internal/pkt"
 	"repro/internal/sim"
 )
 
@@ -64,7 +65,7 @@ func (j *Jammer) burst() {
 		j.peakEnergy = e
 	}
 	j.Bursts++
-	end := j.radio.Send(j.payload, j.rate)
+	end := j.radio.SendBuf(pkt.Wrap(j.payload), j.rate)
 	// Back-to-back bursts: the channel never goes idle.
 	j.kernel.At(end, j.burst)
 }

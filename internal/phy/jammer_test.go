@@ -3,6 +3,7 @@ package phy
 import (
 	"testing"
 
+	"repro/internal/pkt"
 	"repro/internal/sim"
 )
 
@@ -22,7 +23,7 @@ func TestJammerDeniesChannel(t *testing.T) {
 
 	// Baseline: frames arrive.
 	for i := 0; i < 10; i++ {
-		tx.Send(make([]byte, 500), Rate11Mbps)
+		tx.SendBuf(pkt.Wrap(make([]byte, 500)), Rate11Mbps)
 	}
 	k.RunFor(sim.Second)
 	if heard != 10 {
@@ -34,7 +35,7 @@ func TestJammerDeniesChannel(t *testing.T) {
 	j := NewJammer(k, jamRadio, 1500, Rate1Mbps)
 	heard = 0
 	for i := 0; i < 20; i++ {
-		tx.Send(make([]byte, 500), Rate11Mbps)
+		tx.SendBuf(pkt.Wrap(make([]byte, 500)), Rate11Mbps)
 	}
 	k.RunFor(sim.Second)
 	if heard != 0 {
@@ -52,7 +53,7 @@ func TestJammerDeniesChannel(t *testing.T) {
 	k.RunFor(sim.Second) // drain the final burst
 	heard = 0
 	for i := 0; i < 10; i++ {
-		tx.Send(make([]byte, 500), Rate11Mbps)
+		tx.SendBuf(pkt.Wrap(make([]byte, 500)), Rate11Mbps)
 	}
 	k.RunFor(sim.Second)
 	if heard != 10 {
@@ -75,7 +76,7 @@ func TestJammerEnergyIsShardLocal(t *testing.T) {
 	blaster := m.AddRadio(RadioConfig{Name: "blast", Pos: Position{1, 0}, Channel: 11})
 	var sendNext func()
 	sendNext = func() {
-		end := blaster.Send(make([]byte, 400), Rate1Mbps)
+		end := blaster.SendBuf(pkt.Wrap(make([]byte, 400)), Rate1Mbps)
 		k.At(end, sendNext)
 	}
 	sendNext()
@@ -92,7 +93,7 @@ func TestJammerEnergyIsShardLocal(t *testing.T) {
 	blaster2 := m2.AddRadio(RadioConfig{Name: "blast", Pos: Position{1, 0}, Channel: 6})
 	var sendNext2 func()
 	sendNext2 = func() {
-		end := blaster2.Send(make([]byte, 400), Rate1Mbps)
+		end := blaster2.SendBuf(pkt.Wrap(make([]byte, 400)), Rate1Mbps)
 		k2.At(end, sendNext2)
 	}
 	sendNext2()
@@ -113,7 +114,7 @@ func TestJammerIsChannelLocal(t *testing.T) {
 	heard := 0
 	rx.SetReceiver(func(data []byte, info RxInfo) { heard++ })
 	for i := 0; i < 10; i++ {
-		tx.Send(make([]byte, 500), Rate11Mbps)
+		tx.SendBuf(pkt.Wrap(make([]byte, 500)), Rate11Mbps)
 	}
 	k.RunFor(sim.Second)
 	if heard != 10 {

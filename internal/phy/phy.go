@@ -442,12 +442,6 @@ func (r *Radio) CarrierBusy() bool {
 	return r.EnergyDBm() >= r.medium.cfg.CarrierSenseDBm
 }
 
-// Send transmits data at the given rate on the radio's channel. It adopts
-// the slice as a non-pooled buffer; senders on the hot path use SendBuf.
-func (r *Radio) Send(data []byte, rate Rate) sim.Time {
-	return r.SendBuf(pkt.Wrap(data), rate)
-}
-
 // SendBuf transmits the packet buffer's view at the given rate on the
 // radio's channel, taking ownership of pb (the medium releases it when the
 // transmission leaves the air, on every path). Transmissions from one radio

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/pkt"
 	"repro/internal/sim"
 )
 
@@ -51,7 +52,7 @@ func TestNearbyRadiosDeliver(t *testing.T) {
 	b := m.AddRadio(RadioConfig{Name: "b", Pos: Position{5, 0}, Channel: 1})
 	var got []byte
 	b.SetReceiver(func(data []byte, info RxInfo) { got = append([]byte{}, data...) })
-	a.Send([]byte("beacon"), Rate11Mbps)
+	a.SendBuf(pkt.Wrap([]byte("beacon")), Rate11Mbps)
 	k.Run()
 	if string(got) != "beacon" {
 		t.Fatalf("got %q", got)
@@ -66,7 +67,7 @@ func TestSenderDoesNotHearItself(t *testing.T) {
 	a := m.AddRadio(RadioConfig{Name: "a", Pos: Position{0, 0}, Channel: 1})
 	heard := false
 	a.SetReceiver(func(data []byte, info RxInfo) { heard = true })
-	a.Send([]byte("x"), Rate1Mbps)
+	a.SendBuf(pkt.Wrap([]byte("x")), Rate1Mbps)
 	k.Run()
 	if heard {
 		t.Fatal("radio received its own transmission")
@@ -79,7 +80,7 @@ func TestDifferentChannelIsolation(t *testing.T) {
 	b := m.AddRadio(RadioConfig{Name: "b", Pos: Position{5, 0}, Channel: 6})
 	heard := false
 	b.SetReceiver(func(data []byte, info RxInfo) { heard = true })
-	a.Send([]byte("x"), Rate1Mbps)
+	a.SendBuf(pkt.Wrap([]byte("x")), Rate1Mbps)
 	k.Run()
 	if heard {
 		t.Fatal("channel-6 radio heard channel-1 frame (separation 5 must be orthogonal)")
@@ -93,7 +94,7 @@ func TestAdjacentChannelLeakage(t *testing.T) {
 	b := m.AddRadio(RadioConfig{Name: "b", Pos: Position{1, 0}, Channel: 2})
 	var rssiAdj float64
 	b.SetReceiver(func(data []byte, info RxInfo) { rssiAdj = info.RSSIDBm })
-	a.Send([]byte("x"), Rate1Mbps)
+	a.SendBuf(pkt.Wrap([]byte("x")), Rate1Mbps)
 	k.Run()
 	if rssiAdj == 0 {
 		t.Fatal("adjacent channel heard nothing at 1 m")
@@ -102,7 +103,7 @@ func TestAdjacentChannelLeakage(t *testing.T) {
 	b.SetChannel(1)
 	var rssiSame float64
 	b.SetReceiver(func(data []byte, info RxInfo) { rssiSame = info.RSSIDBm })
-	a.Send([]byte("x"), Rate1Mbps)
+	a.SendBuf(pkt.Wrap([]byte("x")), Rate1Mbps)
 	k.Run()
 	if math.Abs((rssiSame-rssiAdj)-12) > 0.01 {
 		t.Fatalf("adjacent rejection = %v dB, want 12", rssiSame-rssiAdj)
@@ -119,7 +120,7 @@ func TestDistantRadioDrops(t *testing.T) {
 	heard := 0
 	b.SetReceiver(func(data []byte, info RxInfo) { heard++ })
 	for i := 0; i < 50; i++ {
-		a.Send([]byte("x"), Rate11Mbps)
+		a.SendBuf(pkt.Wrap([]byte("x")), Rate11Mbps)
 	}
 	k.Run()
 	if heard != 0 {
@@ -146,7 +147,7 @@ func TestDecodeFloorSkipsWithoutDraw(t *testing.T) {
 			e.SetReceiver(func(data []byte, info RxInfo) {})
 		}
 		for i := 0; i < 100; i++ {
-			a.Send(make([]byte, 500), Rate11Mbps)
+			a.SendBuf(pkt.Wrap(make([]byte, 500)), Rate11Mbps)
 		}
 		k.Run()
 		if withEdge {
@@ -212,7 +213,7 @@ func TestShardedMatchesUnshardedDigest(t *testing.T) {
 			for j := 0; j <= round%4; j++ {
 				payload := make([]byte, 40+(round*37+j*101)%900)
 				payload[0], payload[1] = byte(round), byte(j)
-				radios[(round*7+j*13)%len(radios)].Send(payload, Rate11Mbps)
+				radios[(round*7+j*13)%len(radios)].SendBuf(pkt.Wrap(payload), Rate11Mbps)
 			}
 			k.RunFor(5 * sim.Millisecond)
 			if round%4 > 0 {
@@ -254,26 +255,26 @@ func TestShardMigration(t *testing.T) {
 	b := m.AddRadio(RadioConfig{Name: "b", Pos: Position{5, 0}, Channel: 11})
 	heard := 0
 	b.SetReceiver(func(data []byte, info RxInfo) { heard++ })
-	a.Send([]byte("x"), Rate11Mbps)
+	a.SendBuf(pkt.Wrap([]byte("x")), Rate11Mbps)
 	k.Run()
 	if heard != 0 {
 		t.Fatal("channel-11 radio heard channel 1")
 	}
 	b.SetChannel(1)
-	a.Send([]byte("x"), Rate11Mbps)
+	a.SendBuf(pkt.Wrap([]byte("x")), Rate11Mbps)
 	k.Run()
 	if heard != 1 {
 		t.Fatalf("retuned radio heard %d frames, want 1", heard)
 	}
 	// Move b far out of range (crossing many grid cells), then back.
 	b.SetPosition(Position{5000, 5000})
-	a.Send([]byte("x"), Rate11Mbps)
+	a.SendBuf(pkt.Wrap([]byte("x")), Rate11Mbps)
 	k.Run()
 	if heard != 1 {
 		t.Fatal("out-of-range radio still hearing frames after move")
 	}
 	b.SetPosition(Position{5, 0})
-	a.Send([]byte("x"), Rate11Mbps)
+	a.SendBuf(pkt.Wrap([]byte("x")), Rate11Mbps)
 	k.Run()
 	if heard != 2 {
 		t.Fatalf("returned radio heard %d frames, want 2", heard)
@@ -288,7 +289,7 @@ func TestRSSIDecreasesWithDistance(t *testing.T) {
 	var rssiNear, rssiFar float64
 	near.SetReceiver(func(data []byte, info RxInfo) { rssiNear = info.RSSIDBm })
 	far.SetReceiver(func(data []byte, info RxInfo) { rssiFar = info.RSSIDBm })
-	a.Send([]byte("x"), Rate1Mbps)
+	a.SendBuf(pkt.Wrap([]byte("x")), Rate1Mbps)
 	k.Run()
 	if rssiNear <= rssiFar {
 		t.Fatalf("near RSSI %v <= far RSSI %v", rssiNear, rssiFar)
@@ -308,7 +309,7 @@ func TestBroadcastNature(t *testing.T) {
 		r := m.AddRadio(RadioConfig{Pos: Position{float64(i + 1), 0}, Channel: 1})
 		r.SetReceiver(func(data []byte, info RxInfo) { heard++ })
 	}
-	a.Send([]byte("secret"), Rate11Mbps)
+	a.SendBuf(pkt.Wrap([]byte("secret")), Rate11Mbps)
 	k.Run()
 	if heard != 5 {
 		t.Fatalf("%d/5 radios heard the frame", heard)
@@ -324,8 +325,8 @@ func TestCollisionDropsBoth(t *testing.T) {
 	rx := m.AddRadio(RadioConfig{Name: "rx", Pos: Position{0, 0}, Channel: 1})
 	heard := 0
 	rx.SetReceiver(func(data []byte, info RxInfo) { heard++ })
-	s1.Send(make([]byte, 500), Rate11Mbps)
-	s2.Send(make([]byte, 500), Rate11Mbps)
+	s1.SendBuf(pkt.Wrap(make([]byte, 500)), Rate11Mbps)
+	s2.SendBuf(pkt.Wrap(make([]byte, 500)), Rate11Mbps)
 	k.Run()
 	if heard != 0 {
 		t.Fatalf("receiver decoded %d frames during collision", heard)
@@ -343,8 +344,8 @@ func TestCaptureEffect(t *testing.T) {
 	rx := m.AddRadio(RadioConfig{Name: "rx", Pos: Position{0, 0}, Channel: 1})
 	var decoded []string
 	rx.SetReceiver(func(data []byte, info RxInfo) { decoded = append(decoded, string(data)) })
-	strong.Send([]byte("strong"), Rate11Mbps)
-	weak.Send([]byte("weak!!"), Rate11Mbps)
+	strong.SendBuf(pkt.Wrap([]byte("strong")), Rate11Mbps)
+	weak.SendBuf(pkt.Wrap([]byte("weak!!")), Rate11Mbps)
 	k.Run()
 	if len(decoded) != 1 || decoded[0] != "strong" {
 		t.Fatalf("decoded %v, want [strong] only", decoded)
@@ -358,8 +359,8 @@ func TestNonOverlappingNoCollision(t *testing.T) {
 	rx := m.AddRadio(RadioConfig{Name: "rx", Pos: Position{0, 0}, Channel: 1})
 	heard := 0
 	rx.SetReceiver(func(data []byte, info RxInfo) { heard++ })
-	s1.Send(make([]byte, 100), Rate11Mbps)
-	k.After(10*sim.Millisecond, func() { s2.Send(make([]byte, 100), Rate11Mbps) })
+	s1.SendBuf(pkt.Wrap(make([]byte, 100)), Rate11Mbps)
+	k.After(10*sim.Millisecond, func() { s2.SendBuf(pkt.Wrap(make([]byte, 100)), Rate11Mbps) })
 	k.Run()
 	if heard != 2 {
 		t.Fatalf("heard %d frames, want 2", heard)
@@ -372,8 +373,8 @@ func TestOwnTransmissionsSerialise(t *testing.T) {
 	b := m.AddRadio(RadioConfig{Name: "b", Pos: Position{2, 0}, Channel: 1})
 	var times []sim.Time
 	b.SetReceiver(func(data []byte, info RxInfo) { times = append(times, k.Now()) })
-	a.Send(make([]byte, 100), Rate1Mbps) // 992 µs
-	a.Send(make([]byte, 100), Rate1Mbps)
+	a.SendBuf(pkt.Wrap(make([]byte, 100)), Rate1Mbps) // 992 µs
+	a.SendBuf(pkt.Wrap(make([]byte, 100)), Rate1Mbps)
 	k.Run()
 	if len(times) != 2 {
 		t.Fatalf("heard %d, want 2 (same-radio frames must queue, not collide)", len(times))
@@ -392,7 +393,7 @@ func TestCarrierSense(t *testing.T) {
 	if b.CarrierBusy() {
 		t.Fatal("busy before any transmission")
 	}
-	a.Send(make([]byte, 1000), Rate1Mbps)
+	a.SendBuf(pkt.Wrap(make([]byte, 1000)), Rate1Mbps)
 	k.After(time100us(), func() {
 		if !b.CarrierBusy() {
 			t.Error("nearby radio does not sense carrier")
@@ -433,7 +434,7 @@ func TestLossIncreasesWithDistance(t *testing.T) {
 	near.SetReceiver(func(data []byte, info RxInfo) { nearHeard++ })
 	const n = 200
 	for i := 0; i < n; i++ {
-		a.Send(make([]byte, 500), Rate11Mbps)
+		a.SendBuf(pkt.Wrap(make([]byte, 500)), Rate11Mbps)
 	}
 	k.Run()
 	if nearHeard != n {
@@ -471,7 +472,7 @@ func TestRxInfoFields(t *testing.T) {
 	b := m.AddRadio(RadioConfig{Name: "b", Pos: Position{5, 0}, Channel: 3})
 	var info RxInfo
 	b.SetReceiver(func(data []byte, i RxInfo) { info = i })
-	a.Send(make([]byte, 200), Rate2Mbps)
+	a.SendBuf(pkt.Wrap(make([]byte, 200)), Rate2Mbps)
 	k.Run()
 	if info.Channel != 3 || info.Rate != Rate2Mbps || info.Src != a {
 		t.Fatalf("info = %+v", info)
@@ -492,7 +493,7 @@ func TestShadowingAddsVariance(t *testing.T) {
 	rssis := map[float64]bool{}
 	b.SetReceiver(func(data []byte, info RxInfo) { rssis[info.RSSIDBm] = true })
 	for i := 0; i < 20; i++ {
-		a.Send([]byte("x"), Rate1Mbps)
+		a.SendBuf(pkt.Wrap([]byte("x")), Rate1Mbps)
 	}
 	k.Run()
 	if len(rssis) < 10 {
@@ -505,7 +506,7 @@ func TestMediumStats(t *testing.T) {
 	a := m.AddRadio(RadioConfig{Name: "a", Pos: Position{0, 0}, Channel: 1})
 	b := m.AddRadio(RadioConfig{Name: "b", Pos: Position{5, 0}, Channel: 1})
 	b.SetReceiver(func(data []byte, info RxInfo) {})
-	a.Send([]byte("x"), Rate11Mbps)
+	a.SendBuf(pkt.Wrap([]byte("x")), Rate11Mbps)
 	k.Run()
 	if m.Transmissions != 1 || m.Deliveries != 1 {
 		t.Fatalf("stats tx=%d rx=%d", m.Transmissions, m.Deliveries)
@@ -522,7 +523,7 @@ func BenchmarkMediumBroadcast10Radios(b *testing.B) {
 	payload := make([]byte, 1500)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.Send(payload, Rate11Mbps)
+		a.SendBuf(pkt.Wrap(payload), Rate11Mbps)
 		k.Run()
 	}
 }

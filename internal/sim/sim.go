@@ -65,9 +65,10 @@ func (t Time) String() string { return time.Duration(t).String() }
 type event struct {
 	when Time
 	seq  uint64 // tie-break: insertion order; unique per kernel, never reused
-	fn   func()
-	// cancelled events remain queued but are skipped when they surface.
-	cancelled bool
+	// fn is the callback. A queued event has a nil fn exactly when it was
+	// cancelled (At rejects a nil fn, and step clears it only after the pop):
+	// such events remain queued and are skipped when they surface.
+	fn func()
 }
 
 // Timer is the cancellable handle At and After return. It names one
@@ -78,16 +79,16 @@ type Timer struct {
 	seq uint64
 }
 
-// Cancel prevents the event from firing. It acts only while the event still
-// carries the timer's seq and its callback is still queued: cancelling a
-// fired, dropped or already-cancelled event, or the zero Timer, is a no-op.
-// The fn check matters for recycled structs, which are zeroed and so carry
-// seq 0 like the kernel's first timer. Cancel is O(1); the event is lazily
-// discarded when its wheel slot is loaded or it surfaces at a heap top.
+// Cancel prevents the event from firing by clearing its callback, which
+// also releases the closure for GC. It acts only while the event still
+// carries the timer's seq: cancelling a fired, dropped or already-cancelled
+// event, or the zero Timer, is a no-op (recycled structs are zeroed, so a
+// stale Timer whose seq is 0, like the kernel's first, finds a nil fn and
+// clears nothing). Cancel is O(1); the event is lazily discarded when its
+// wheel slot is loaded or it surfaces at a heap top.
 func (t Timer) Cancel() {
-	if e := t.e; e != nil && e.seq == t.seq && e.fn != nil {
-		e.cancelled = true
-		e.fn = nil // release closure for GC
+	if e := t.e; e != nil && e.seq == t.seq {
+		e.fn = nil
 	}
 }
 

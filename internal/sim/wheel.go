@@ -29,9 +29,10 @@ import (
 //     pops in (when, seq) order, so same-tick overflow events arrive in
 //     their slot in seq order like directly inserted ones.
 //
-// Cancel stays lazy everywhere: cancelled events are dropped when their slot
-// is loaded or when they surface at the top of a heap, and every drop site
-// recycles the struct into the freelist, as a fire does.
+// Cancel stays lazy everywhere: cancelled events (those whose fn Cancel
+// cleared) are dropped when their slot is loaded or when they surface at the
+// top of a heap, and every drop site recycles the struct into the freelist,
+// as a fire does.
 //
 // The occupancy bitmap makes "next non-empty slot" a word scan instead of a
 // slot scan; when the wheel is empty the cursor jumps straight to the
@@ -150,7 +151,7 @@ func (k *Kernel) loadSlot() {
 	}
 	k.wheelCount -= len(slot)
 	for i, e := range slot {
-		if e.cancelled {
+		if e.fn == nil { // cancelled
 			k.recycle(e)
 		} else {
 			heapPush(&k.cur, e)
@@ -207,7 +208,7 @@ func (k *Kernel) nextEvent() *event {
 	for {
 		for len(k.cur) > 0 {
 			e := heapPop(&k.cur)
-			if e.cancelled {
+			if e.fn == nil { // cancelled
 				k.recycle(e)
 				continue
 			}
@@ -226,7 +227,7 @@ func (k *Kernel) nextEvent() *event {
 func (k *Kernel) peekWhen() (Time, bool) {
 	for {
 		for len(k.cur) > 0 {
-			if k.cur[0].cancelled {
+			if k.cur[0].fn == nil { // cancelled
 				k.recycle(heapPop(&k.cur))
 				continue
 			}

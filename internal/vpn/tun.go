@@ -38,34 +38,28 @@ func (t *tunNIC) HWAddr() ethernet.MAC            { return t.hw }
 func (t *tunNIC) MTU() int                        { return TunnelMTU }
 func (t *tunNIC) SetReceiver(r ethernet.Receiver) { t.recv = r }
 
-func (t *tunNIC) Send(dst ethernet.MAC, typ ethernet.EtherType, payload []byte) {
+// SendBuf consumes the buffer synchronously and releases it: an ARP request
+// is answered on the spot with a reply synthesised from it, and an IP packet
+// is handed to outbound, which encrypts it into a sealed record.
+func (t *tunNIC) SendBuf(dst ethernet.MAC, typ ethernet.EtherType, pb *pkt.Buf) {
 	switch typ {
 	case ethernet.TypeARP:
 		// Answer any ARP request instantly so the stack can "resolve"
 		// next hops over the tunnel.
-		req, err := arp.Unmarshal(payload)
-		if err != nil || req.Op != arp.OpRequest || t.recv == nil {
-			return
+		req, err := arp.Unmarshal(pb.Bytes())
+		if err == nil && req.Op == arp.OpRequest && t.recv != nil {
+			resp := arp.Packet{
+				Op:       arp.OpReply,
+				SenderHW: peerMAC, SenderIP: req.TargetIP,
+				TargetHW: req.SenderHW, TargetIP: req.SenderIP,
+			}
+			t.recv(ethernet.Frame{Dst: t.hw, Src: peerMAC, Type: ethernet.TypeARP, Payload: resp.Marshal()})
 		}
-		resp := arp.Packet{
-			Op:       arp.OpReply,
-			SenderHW: peerMAC, SenderIP: req.TargetIP,
-			TargetHW: req.SenderHW, TargetIP: req.SenderIP,
-		}
-		t.recv(ethernet.Frame{Dst: t.hw, Src: peerMAC, Type: ethernet.TypeARP, Payload: resp.Marshal()})
 	case ethernet.TypeIPv4:
 		if t.outbound != nil {
-			t.outbound(clampMSS(payload, InnerMSS))
+			t.outbound(clampMSS(pb.Bytes(), InnerMSS))
 		}
 	}
-}
-
-// SendBuf sends a pooled buffer's view through Send. Both Send branches
-// consume the payload synchronously (the ARP reply is synthesised from the
-// request and outbound encrypts the packet into a sealed record), so the
-// buffer can be released as soon as Send returns.
-func (t *tunNIC) SendBuf(dst ethernet.MAC, typ ethernet.EtherType, pb *pkt.Buf) {
-	t.Send(dst, typ, pb.Bytes())
 	pb.Release()
 }
 
@@ -149,7 +143,9 @@ type frameStream struct {
 	buf []byte
 }
 
-// push appends stream data and returns any complete messages.
+// push appends stream data and returns any complete messages. A zero length
+// prefix, which frame never writes (every message has a type byte), is
+// consumed without yielding a message, so no message is ever empty.
 func (f *frameStream) push(b []byte) [][]byte {
 	f.buf = append(f.buf, b...)
 	var msgs [][]byte
@@ -158,6 +154,10 @@ func (f *frameStream) push(b []byte) [][]byte {
 			return msgs
 		}
 		n := int(f.buf[0])<<8 | int(f.buf[1])
+		if n == 0 {
+			f.buf = f.buf[2:]
+			continue
+		}
 		if len(f.buf) < 2+n {
 			return msgs
 		}

@@ -153,6 +153,18 @@ func TestFrameStreamReassembly(t *testing.T) {
 	}
 }
 
+// TestFrameStreamSkipsZeroLength pins the reassembler on a zero length
+// prefix, which frame never writes: it yields no (empty) message and the
+// stream stays in step for the frame after it.
+func TestFrameStreamSkipsZeroLength(t *testing.T) {
+	var fs frameStream
+	in := append([]byte{0, 0}, frame(msgData, []byte("next"))...)
+	got := fs.push(in)
+	if len(got) != 1 || got[0][0] != msgData || string(got[0][1:]) != "next" {
+		t.Fatalf("got %q, want the one data message after the empty prefix", got)
+	}
+}
+
 // vpnWorld: client host —sw— server host. Minimal wired topology to test the
 // tunnel machinery itself (integration through wireless is in core).
 type vpnWorld struct {
