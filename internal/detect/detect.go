@@ -210,31 +210,35 @@ func (d *Detector) observeSeq(f dot11.Frame) {
 }
 
 // observeBeacon compares a beacon against the BSSID's learned fingerprint.
+// The body is read in place; the SSID is copied out only when a new or
+// changed fingerprint is stored.
 func (d *Detector) observeBeacon(f dot11.Frame, info phy.RxInfo) {
-	body, err := dot11.UnmarshalBeaconBody(f.Body)
+	body, err := dot11.ParseBeacon(f.Body)
 	if err != nil {
 		return
 	}
+	prev, ok := d.prints[f.Addr2]
+	if ok && prev.ssid == string(body.SSID) && prev.channel == phy.Channel(body.Channel) &&
+		prev.interval == body.BeaconInterval && prev.cap == body.Capability {
+		return
+	}
 	fp := fingerprint{
-		ssid:     body.SSID,
+		ssid:     string(body.SSID),
 		channel:  phy.Channel(body.Channel),
 		interval: body.BeaconInterval,
 		cap:      body.Capability,
 	}
-	prev, ok := d.prints[f.Addr2]
 	if !ok {
 		d.prints[f.Addr2] = fp
 		return
 	}
-	if prev != fp {
-		d.raise(Alert{
-			Kind: AlertBeaconMismatch, MAC: f.Addr2,
-			Detail: fmt.Sprintf("beacon fingerprint changed: %+v -> %+v", prev, fp),
-		})
-		// Keep the original fingerprint as truth; keep alerting per change
-		// is noisy, so update to the latest to only flag transitions.
-		d.prints[f.Addr2] = fp
-	}
+	d.raise(Alert{
+		Kind: AlertBeaconMismatch, MAC: f.Addr2,
+		Detail: fmt.Sprintf("beacon fingerprint changed: %+v -> %+v", prev, fp),
+	})
+	// Keep the original fingerprint as truth; keep alerting per change
+	// is noisy, so update to the latest to only flag transitions.
+	d.prints[f.Addr2] = fp
 }
 
 // observeDeauth rate-limits deauth/disassoc per claimed source.

@@ -113,14 +113,20 @@ func beaconFrame(bssid ethernet.MAC, ssid string, ch byte, interval uint16, cap 
 }
 
 func TestBeaconFingerprintMismatch(t *testing.T) {
-	_, d := newDetector()
-	// Real AP: CORP on channel 1 — then a clone appears on channel 6.
-	d.Observe(beaconFrame(apMAC, "CORP", 1, 100, dot11.CapESS), phy.RxInfo{})
-	d.Observe(beaconFrame(apMAC, "CORP", 1, 100, dot11.CapESS), phy.RxInfo{})
-	d.Observe(beaconFrame(apMAC, "CORP", 6, 100, dot11.CapESS), phy.RxInfo{})
-	alerts := d.AlertsOf(AlertBeaconMismatch)
-	if len(alerts) != 1 {
-		t.Fatalf("beacon alerts = %v", d.Alerts)
+	// Real AP: CORP on channel 1 — then a clone appears on channel 6, or
+	// under another SSID (compared in place against the stored one).
+	for _, clone := range []dot11.Frame{
+		beaconFrame(apMAC, "CORP", 6, 100, dot11.CapESS),
+		beaconFrame(apMAC, "CORQ", 1, 100, dot11.CapESS),
+	} {
+		_, d := newDetector()
+		d.Observe(beaconFrame(apMAC, "CORP", 1, 100, dot11.CapESS), phy.RxInfo{})
+		d.Observe(beaconFrame(apMAC, "CORP", 1, 100, dot11.CapESS), phy.RxInfo{})
+		d.Observe(clone, phy.RxInfo{})
+		alerts := d.AlertsOf(AlertBeaconMismatch)
+		if len(alerts) != 1 {
+			t.Fatalf("beacon alerts = %v", d.Alerts)
+		}
 	}
 }
 
@@ -131,6 +137,21 @@ func TestBeaconStableNoAlert(t *testing.T) {
 	}
 	if len(d.Alerts) != 0 {
 		t.Fatalf("alerts on stable beacons: %v", d.Alerts)
+	}
+}
+
+// TestKnownBeaconAllocFree pins the sensor's steady state at zero
+// allocations: a beacon matching its BSSID's fingerprint is parsed and
+// compared in place.
+func TestKnownBeaconAllocFree(t *testing.T) {
+	_, d := newDetector()
+	f := beaconFrame(apMAC, "CORP", 1, 100, dot11.CapESS)
+	d.Observe(f, phy.RxInfo{})
+	if avg := testing.AllocsPerRun(100, func() { d.Observe(f, phy.RxInfo{}) }); avg != 0 {
+		t.Fatalf("observing a known beacon allocates %.1f times, want 0", avg)
+	}
+	if len(d.Alerts) != 0 {
+		t.Fatalf("alerts on a repeated beacon: %v", d.Alerts)
 	}
 }
 

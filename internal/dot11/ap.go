@@ -52,6 +52,9 @@ type AP struct {
 	host     *apHostNIC
 	uplink   *ethernet.Port
 	beacon   sim.Timer
+	// beaconFn is beaconTick, bound once so the beacon cycle schedules no
+	// fresh closure per interval.
+	beaconFn func()
 	started  sim.Time
 	stopped  bool
 	down     bool
@@ -100,6 +103,7 @@ func NewAP(k *sim.Kernel, radio *phy.Radio, cfg APConfig) *AP {
 	}
 	ap.host = &apHostNIC{ap: ap}
 	ap.entity.handler = ap.onFrame
+	ap.beaconFn = ap.beaconTick
 	ap.scheduleBeacon()
 	return ap
 }
@@ -188,11 +192,13 @@ func (ap *AP) capability() uint16 {
 }
 
 func (ap *AP) scheduleBeacon() {
-	interval := sim.Time(ap.cfg.BeaconIntervalTU) * TU
-	ap.beacon = ap.kernel.After(interval, func() {
-		ap.sendBeacon()
-		ap.scheduleBeacon()
-	})
+	ap.beacon = ap.kernel.After(sim.Time(ap.cfg.BeaconIntervalTU)*TU, ap.beaconFn)
+}
+
+// beaconTick is the beacon timer: send, then schedule the next.
+func (ap *AP) beaconTick() {
+	ap.sendBeacon()
+	ap.scheduleBeacon()
 }
 
 func (ap *AP) sendBeacon() {
@@ -204,6 +210,13 @@ func (ap *AP) sendBeacon() {
 		return
 	}
 	ap.Beacons++
+	ap.transmitBeaconBody(SubtypeBeacon, ethernet.BroadcastMAC)
+}
+
+// transmitBeaconBody sends a beacon or probe response to dst, writing the
+// body straight into the pooled frame buffer and the MAC header into its
+// headroom.
+func (ap *AP) transmitBeaconBody(sub Subtype, dst ethernet.MAC) {
 	body := BeaconBody{
 		Timestamp:      uint64((ap.kernel.Now() - ap.started) / sim.Microsecond),
 		BeaconInterval: ap.cfg.BeaconIntervalTU,
@@ -211,11 +224,12 @@ func (ap *AP) sendBeacon() {
 		SSID:           ap.cfg.SSID,
 		Channel:        byte(ap.cfg.Channel),
 	}
-	ap.transmit(Frame{
-		Type: TypeManagement, Subtype: SubtypeBeacon,
-		Addr1: ethernet.BroadcastMAC, Addr2: ap.cfg.BSSID, Addr3: ap.cfg.BSSID,
-		Body: body.Marshal(),
-	})
+	pb := ap.kernel.BufPool().Get()
+	body.put(pb.Extend(body.wireLen()))
+	ap.transmitBuf(Frame{
+		Type: TypeManagement, Subtype: sub,
+		Addr1: dst, Addr2: ap.cfg.BSSID, Addr3: ap.cfg.BSSID,
+	}, pb)
 }
 
 // macAllowed applies the ACL.
@@ -257,18 +271,7 @@ func (ap *AP) onManagement(f Frame) {
 		if body.SSID != "" && body.SSID != ap.cfg.SSID {
 			return
 		}
-		resp := BeaconBody{
-			Timestamp:      uint64((ap.kernel.Now() - ap.started) / sim.Microsecond),
-			BeaconInterval: ap.cfg.BeaconIntervalTU,
-			Capability:     ap.capability(),
-			SSID:           ap.cfg.SSID,
-			Channel:        byte(ap.cfg.Channel),
-		}
-		ap.transmit(Frame{
-			Type: TypeManagement, Subtype: SubtypeProbeResp,
-			Addr1: f.Addr2, Addr2: ap.cfg.BSSID, Addr3: ap.cfg.BSSID,
-			Body: resp.Marshal(),
-		})
+		ap.transmitBeaconBody(SubtypeProbeResp, f.Addr2)
 	case SubtypeAuth:
 		ap.onAuth(f)
 	case SubtypeAssocReq:

@@ -180,37 +180,76 @@ type BeaconBody struct {
 	Channel        byte
 }
 
-// Marshal serialises the body with its information elements.
-func (b *BeaconBody) Marshal() []byte {
-	out := make([]byte, 12, 12+2+len(b.SSID)+3)
+// beaconFixedLen is the fixed part of a beacon body: timestamp, interval and
+// capability, before the information elements.
+const beaconFixedLen = 12
+
+// wireLen reports the serialised body length.
+func (b *BeaconBody) wireLen() int { return beaconFixedLen + 2 + len(b.SSID) + 3 }
+
+// put serialises the body into out, which must be exactly wireLen bytes;
+// the AP writes beacons straight into the pooled frame buffer with it.
+func (b *BeaconBody) put(out []byte) {
+	if len(b.SSID) > 255 {
+		panic("dot11: IE too long")
+	}
 	binary.LittleEndian.PutUint64(out[0:8], b.Timestamp)
 	binary.LittleEndian.PutUint16(out[8:10], b.BeaconInterval)
 	binary.LittleEndian.PutUint16(out[10:12], b.Capability)
-	out = appendIE(out, ieSSID, []byte(b.SSID))
-	out = appendIE(out, ieDSParam, []byte{b.Channel})
+	out[12], out[13] = ieSSID, byte(len(b.SSID))
+	n := 14 + copy(out[14:], b.SSID)
+	out[n], out[n+1], out[n+2] = ieDSParam, 1, b.Channel
+}
+
+// Marshal serialises the body with its information elements.
+func (b *BeaconBody) Marshal() []byte {
+	out := make([]byte, b.wireLen())
+	b.put(out)
 	return out
 }
 
-// UnmarshalBeaconBody parses a beacon/probe-response body.
-func UnmarshalBeaconBody(p []byte) (BeaconBody, error) {
-	var b BeaconBody
-	if len(p) < 12 {
-		return b, errors.New("dot11: short beacon body")
+// BeaconView is a beacon or probe-response body parsed in place: SSID
+// aliases the frame, so reading a beacon allocates nothing. Receivers that
+// only compare the SSID use the view and copy the SSID out only to keep it.
+type BeaconView struct {
+	Timestamp      uint64
+	BeaconInterval uint16
+	Capability     uint16
+	SSID           []byte
+	Channel        byte
+}
+
+// ParseBeacon parses a beacon/probe-response body without copying it.
+func ParseBeacon(p []byte) (BeaconView, error) {
+	var v BeaconView
+	if len(p) < beaconFixedLen {
+		return v, errors.New("dot11: short beacon body")
 	}
-	b.Timestamp = binary.LittleEndian.Uint64(p[0:8])
-	b.BeaconInterval = binary.LittleEndian.Uint16(p[8:10])
-	b.Capability = binary.LittleEndian.Uint16(p[10:12])
-	ies, err := parseIEs(p[12:])
+	v.Timestamp = binary.LittleEndian.Uint64(p[0:8])
+	v.BeaconInterval = binary.LittleEndian.Uint16(p[8:10])
+	v.Capability = binary.LittleEndian.Uint16(p[10:12])
+	ies, err := walkIEs(p[beaconFixedLen:])
 	if err != nil {
-		return b, err
+		return v, err
 	}
-	if v, ok := ies[ieSSID]; ok {
-		b.SSID = string(v)
+	v.SSID = ies.ssid
+	if len(ies.ds) == 1 {
+		v.Channel = ies.ds[0]
 	}
-	if v, ok := ies[ieDSParam]; ok && len(v) == 1 {
-		b.Channel = v[0]
-	}
-	return b, nil
+	return v, nil
+}
+
+// UnmarshalBeaconBody parses a beacon/probe-response body, copying the
+// SSID out of p.
+func UnmarshalBeaconBody(p []byte) (BeaconBody, error) {
+	v, err := ParseBeacon(p)
+	return BeaconBody{
+		Timestamp:      v.Timestamp,
+		BeaconInterval: v.BeaconInterval,
+		Capability:     v.Capability,
+		SSID:           string(v.SSID),
+		Channel:        v.Channel,
+	}, err
 }
 
 // ProbeReqBody is the body of a probe request: the SSID being sought
@@ -224,11 +263,11 @@ func (b *ProbeReqBody) Marshal() []byte {
 
 // UnmarshalProbeReqBody parses a probe request body.
 func UnmarshalProbeReqBody(p []byte) (ProbeReqBody, error) {
-	ies, err := parseIEs(p)
+	ies, err := walkIEs(p)
 	if err != nil {
 		return ProbeReqBody{}, err
 	}
-	return ProbeReqBody{SSID: string(ies[ieSSID])}, nil
+	return ProbeReqBody{SSID: string(ies.ssid)}, nil
 }
 
 // Authentication algorithm numbers.
@@ -277,13 +316,11 @@ func UnmarshalAuthBody(p []byte) (AuthBody, error) {
 	b.Algorithm = binary.LittleEndian.Uint16(p[0:2])
 	b.Seq = binary.LittleEndian.Uint16(p[2:4])
 	b.Status = binary.LittleEndian.Uint16(p[4:6])
-	ies, err := parseIEs(p[6:])
+	ies, err := walkIEs(p[6:])
 	if err != nil {
 		return b, err
 	}
-	if v, ok := ies[ieChallenge]; ok {
-		b.Challenge = v
-	}
+	b.Challenge = ies.challenge
 	return b, nil
 }
 
@@ -307,11 +344,11 @@ func UnmarshalAssocReqBody(p []byte) (AssocReqBody, error) {
 		return b, errors.New("dot11: short assoc-req body")
 	}
 	b.Capability = binary.LittleEndian.Uint16(p[0:2])
-	ies, err := parseIEs(p[2:])
+	ies, err := walkIEs(p[2:])
 	if err != nil {
 		return b, err
 	}
-	b.SSID = string(ies[ieSSID])
+	b.SSID = string(ies.ssid)
 	return b, nil
 }
 
@@ -387,20 +424,43 @@ func appendIE(out []byte, id byte, val []byte) []byte {
 	return append(out, val...)
 }
 
-func parseIEs(p []byte) (map[byte][]byte, error) {
-	ies := make(map[byte][]byte)
+// Errors from the information-element walk.
+var (
+	errIEHeader = errors.New("dot11: truncated IE header")
+	errIEBody   = errors.New("dot11: truncated IE body")
+)
+
+// ieValues holds the values of the elements the body parsers read. Each
+// aliases the walked list and is nil when its element is absent; a present
+// element, even an empty one, is a non-nil slice of the list.
+type ieValues struct {
+	ssid, ds, challenge []byte
+}
+
+// walkIEs walks an information-element list in place. A repeated element
+// keeps its last value, and unknown elements are skipped. Any truncated
+// header or body fails the whole list.
+func walkIEs(p []byte) (ieValues, error) {
+	var v ieValues
 	for len(p) > 0 {
 		if len(p) < 2 {
-			return nil, errors.New("dot11: truncated IE header")
+			return ieValues{}, errIEHeader
 		}
 		id, n := p[0], int(p[1])
 		if len(p) < 2+n {
-			return nil, errors.New("dot11: truncated IE body")
+			return ieValues{}, errIEBody
 		}
-		ies[id] = p[2 : 2+n]
+		switch val := p[2 : 2+n]; id {
+		case ieSSID:
+			v.ssid = val
+		case ieDSParam:
+			v.ds = val
+		case ieChallenge:
+			v.challenge = val
+		}
 		p = p[2+n:]
 	}
-	return ies, nil
+	return v, nil
 }
 
 // --- LLC/SNAP encapsulation ---

@@ -2,6 +2,7 @@ package dot11
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -170,12 +171,66 @@ func TestReasonBodyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseIEsTruncated(t *testing.T) {
-	if _, err := parseIEs([]byte{0}); err == nil {
-		t.Fatal("truncated IE header accepted")
+// TestIEWalk pins the in-place information-element walk through all four
+// body parsers that read elements: a repeated element keeps its last value,
+// unknown elements are skipped, a present empty challenge stays distinct from
+// an absent one, and a truncated header or body fails the whole body.
+func TestIEWalk(t *testing.T) {
+	ie := func(id byte, v string) []byte { return append([]byte{id, byte(len(v))}, v...) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	cases := []struct {
+		name      string
+		ies       []byte
+		err       error
+		ssid      string
+		channel   byte
+		challenge []byte // nil: absent
+	}{
+		{name: "empty list", ies: nil},
+		{name: "one of each", ies: cat(ie(ieSSID, "CORP"), ie(ieDSParam, "\x06"), ie(ieChallenge, "xyz")),
+			ssid: "CORP", channel: 6, challenge: []byte("xyz")},
+		{name: "duplicates last wins", ies: cat(ie(ieSSID, "A"), ie(ieDSParam, "\x01"), ie(ieChallenge, "c1"),
+			ie(ieSSID, "BB"), ie(ieDSParam, "\x0b"), ie(ieChallenge, "c2")),
+			ssid: "BB", channel: 11, challenge: []byte("c2")},
+		{name: "unknown skipped", ies: cat(ie(221, "vendor"), ie(ieSSID, "CORP"), ie(1, "\x82\x84")), ssid: "CORP"},
+		{name: "empty elements", ies: cat(ie(ieSSID, ""), ie(ieChallenge, "")), challenge: []byte{}},
+		{name: "wrong-size ds param", ies: ie(ieDSParam, "\x01\x02")},
+		{name: "truncated header", ies: cat(ie(ieSSID, "CORP"), []byte{ieDSParam}), err: errIEHeader},
+		{name: "truncated body", ies: cat(ie(ieSSID, "CORP"), []byte{ieChallenge, 5, 'a'}), err: errIEBody},
+		{name: "truncated body after duplicate", ies: cat(ie(ieSSID, "A"), []byte{ieSSID, 3, 'B'}), err: errIEBody},
 	}
-	if _, err := parseIEs([]byte{0, 5, 'a'}); err == nil {
-		t.Fatal("truncated IE body accepted")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			beacon, err := UnmarshalBeaconBody(append(make([]byte, beaconFixedLen), c.ies...))
+			if !errors.Is(err, c.err) {
+				t.Fatalf("beacon: err = %v, want %v", err, c.err)
+			}
+			if err == nil && (beacon.SSID != c.ssid || beacon.Channel != c.channel) {
+				t.Errorf("beacon: ssid %q channel %d, want %q %d", beacon.SSID, beacon.Channel, c.ssid, c.channel)
+			}
+			probe, err := UnmarshalProbeReqBody(c.ies)
+			if !errors.Is(err, c.err) {
+				t.Fatalf("probe-req: err = %v, want %v", err, c.err)
+			}
+			if err == nil && probe.SSID != c.ssid {
+				t.Errorf("probe-req: ssid %q, want %q", probe.SSID, c.ssid)
+			}
+			auth, err := UnmarshalAuthBody(append(make([]byte, 6), c.ies...))
+			if !errors.Is(err, c.err) {
+				t.Fatalf("auth: err = %v, want %v", err, c.err)
+			}
+			if err == nil && ((auth.Challenge == nil) != (c.challenge == nil) || !bytes.Equal(auth.Challenge, c.challenge)) {
+				t.Errorf("auth: challenge %q (nil %v), want %q (nil %v)",
+					auth.Challenge, auth.Challenge == nil, c.challenge, c.challenge == nil)
+			}
+			assoc, err := UnmarshalAssocReqBody(append(make([]byte, 2), c.ies...))
+			if !errors.Is(err, c.err) {
+				t.Fatalf("assoc-req: err = %v, want %v", err, c.err)
+			}
+			if err == nil && assoc.SSID != c.ssid {
+				t.Errorf("assoc-req: ssid %q, want %q", assoc.SSID, c.ssid)
+			}
+		})
 	}
 }
 

@@ -115,7 +115,10 @@ type STA struct {
 	lastBeacon  sim.Time
 	stepTimeout sim.Timer
 	beaconCheck sim.Timer
-	stopped     bool
+	// checkBeaconFn is checkBeacon, bound once so the beacon-loss check
+	// schedules no fresh closure per beacon interval.
+	checkBeaconFn func()
+	stopped       bool
 	// backoffN counts consecutive failed connection attempts; it drives the
 	// exponential reconnect ladder and resets on association.
 	backoffN int
@@ -163,6 +166,7 @@ func NewSTA(k *sim.Kernel, radio *phy.Radio, cfg STAConfig) *STA {
 	}
 	s.nic = &staNIC{sta: s}
 	s.entity.handler = s.onFrame
+	s.checkBeaconFn = s.checkBeacon
 	return s
 }
 
@@ -368,30 +372,33 @@ func (s *STA) onFrame(f Frame, info phy.RxInfo) {
 func (s *STA) onManagement(f Frame, info phy.RxInfo) {
 	switch f.Subtype {
 	case SubtypeBeacon, SubtypeProbeResp:
-		body, err := UnmarshalBeaconBody(f.Body)
+		// The body is read in place: only a stored scan result copies the
+		// SSID out.
+		body, err := ParseBeacon(f.Body)
 		if err != nil {
 			return
 		}
-		b := BSS{
-			SSID:           body.SSID,
-			BSSID:          f.Addr2,
-			Channel:        phy.Channel(body.Channel),
-			RSSIDBm:        info.RSSIDBm,
-			Capability:     body.Capability,
-			BeaconInterval: body.BeaconInterval,
-			LastSeen:       s.kernel.Now(),
-		}
-		if s.state == StateScanning {
+		switch s.state {
+		case StateScanning:
 			// Keep the strongest sighting per (BSSID, channel): a cloned
 			// BSSID on another channel is a distinct candidate, exactly as
 			// in Figure 1.
-			key := scanKey{bssid: b.BSSID, channel: b.Channel}
-			if prev, ok := s.scanResults[key]; !ok || b.RSSIDBm > prev.RSSIDBm {
-				s.scanResults[key] = b
+			key := scanKey{bssid: f.Addr2, channel: phy.Channel(body.Channel)}
+			if prev, ok := s.scanResults[key]; !ok || info.RSSIDBm > prev.RSSIDBm {
+				s.scanResults[key] = BSS{
+					SSID:           string(body.SSID),
+					BSSID:          f.Addr2,
+					Channel:        phy.Channel(body.Channel),
+					RSSIDBm:        info.RSSIDBm,
+					Capability:     body.Capability,
+					BeaconInterval: body.BeaconInterval,
+					LastSeen:       s.kernel.Now(),
+				}
 			}
-		}
-		if s.state == StateAssociated && f.Addr2 == s.bss.BSSID {
-			s.lastBeacon = s.kernel.Now()
+		case StateAssociated:
+			if f.Addr2 == s.bss.BSSID {
+				s.lastBeacon = s.kernel.Now()
+			}
 		}
 	case SubtypeAuth:
 		s.onAuth(f)
@@ -474,16 +481,20 @@ func (s *STA) armBeaconCheck() {
 	if interval == 0 {
 		interval = 100 * TU
 	}
-	s.beaconCheck = s.kernel.After(interval, func() {
-		if s.state != StateAssociated {
-			return
-		}
-		if s.kernel.Now()-s.lastBeacon > s.cfg.BeaconLossTimeout {
-			s.disconnect("beacon loss")
-			return
-		}
-		s.armBeaconCheck()
-	})
+	s.beaconCheck = s.kernel.After(interval, s.checkBeaconFn)
+}
+
+// checkBeacon is the beacon-loss timer: disconnect after BeaconLossTimeout
+// without a beacon from the joined AP, else check again next interval.
+func (s *STA) checkBeacon() {
+	if s.state != StateAssociated {
+		return
+	}
+	if s.kernel.Now()-s.lastBeacon > s.cfg.BeaconLossTimeout {
+		s.disconnect("beacon loss")
+		return
+	}
+	s.armBeaconCheck()
 }
 
 func (s *STA) disconnect(reason string) {

@@ -158,13 +158,23 @@ func (s *Server) onAccept(c *tcp.Conn) {
 	}
 }
 
+// headEnd is the blank line that ends a request or response head.
+var headEnd = []byte("\r\n\r\n")
+
+// maxHead caps how much a peer may send without ending its head: past it a
+// parser reports errHeadTooLarge instead of buffering and rescanning without
+// bound.
+const maxHead = 64 * 1024
+
+var errHeadTooLarge = errors.New("httpx: header too large")
+
 // parseRequest attempts to parse a complete request from buf. ok=false means
 // more data is needed.
 func parseRequest(buf []byte) (req *Request, rest []byte, ok bool, err error) {
-	head, body, found := bytes.Cut(buf, []byte("\r\n\r\n"))
+	head, body, found := bytes.Cut(buf, headEnd)
 	if !found {
-		if len(buf) > 64*1024 {
-			return nil, nil, false, errors.New("httpx: header too large")
+		if len(buf) > maxHead {
+			return nil, nil, false, errHeadTooLarge
 		}
 		return nil, nil, false, nil
 	}
@@ -204,22 +214,78 @@ func parseRequest(buf []byte) (req *Request, rest []byte, ok bool, err error) {
 }
 
 // parseResponse parses a complete response (headers plus content-length
-// body). ok=false means incomplete.
+// body) from buf, in place. ok=false means incomplete; a close-delimited
+// response (no Content-Length) is never complete, and comes back with the
+// body so far.
 func parseResponse(buf []byte) (resp *Response, ok bool, err error) {
-	head, body, found := bytes.Cut(buf, []byte("\r\n\r\n"))
-	if !found {
+	rr := responseReader{buf: buf}
+	return rr.parse(0)
+}
+
+// responseReader reads one response from a stream of TCP segments. Its head
+// is parsed once, when the blank line arrives; after that a segment only
+// counts body bytes against Content-Length.
+type responseReader struct {
+	buf []byte
+	// resp is the parsed head, nil until its blank line arrives; the body
+	// starts at buf[bodyAt] and runs for n bytes, or to EOF when n < 0.
+	resp   *Response
+	bodyAt int
+	n      int
+}
+
+// feed appends one segment and returns what parseResponse returns on
+// everything received so far.
+func (rr *responseReader) feed(seg []byte) (resp *Response, ok bool, err error) {
+	// Resume the blank-line search where the last one stopped, backing up
+	// over a blank line that straddles two segments.
+	from := max(len(rr.buf)-(len(headEnd)-1), 0)
+	rr.buf = append(rr.buf, seg...)
+	return rr.parse(from)
+}
+
+// parse continues the parse of rr.buf, searching for the end of the head
+// from buf[from] while it has not arrived.
+func (rr *responseReader) parse(from int) (resp *Response, ok bool, err error) {
+	if rr.resp == nil {
+		i := bytes.Index(rr.buf[from:], headEnd)
+		if i < 0 {
+			if len(rr.buf) > maxHead {
+				return nil, false, errHeadTooLarge
+			}
+			return nil, false, nil
+		}
+		r, n, err := parseResponseHead(rr.buf[:from+i])
+		if err != nil {
+			return nil, false, err
+		}
+		rr.resp, rr.bodyAt, rr.n = r, from+i+len(headEnd), n
+	}
+	if rr.n < 0 {
+		// No content length: close-delimited; caller must wait for EOF.
+		rr.resp.Body = rr.buf[rr.bodyAt:]
+		return rr.resp, false, nil
+	}
+	if len(rr.buf)-rr.bodyAt < rr.n {
 		return nil, false, nil
 	}
+	rr.resp.Body = rr.buf[rr.bodyAt : rr.bodyAt+rr.n]
+	return rr.resp, true, nil
+}
+
+// parseResponseHead parses a status line and headers (head, without its
+// blank line). n is the Content-Length, or -1 when the body runs to EOF.
+func parseResponseHead(head []byte) (r *Response, n int, err error) {
 	lines := strings.Split(string(head), "\r\n")
 	parts := strings.SplitN(lines[0], " ", 3)
 	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
-		return nil, false, fmt.Errorf("httpx: bad status line %q", lines[0])
+		return nil, 0, fmt.Errorf("httpx: bad status line %q", lines[0])
 	}
 	status, err := strconv.Atoi(parts[1])
 	if err != nil {
-		return nil, false, fmt.Errorf("httpx: bad status %q", parts[1])
+		return nil, 0, fmt.Errorf("httpx: bad status %q", parts[1])
 	}
-	r := &Response{Status: status, Headers: make(map[string]string)}
+	r = &Response{Status: status, Headers: make(map[string]string)}
 	if len(parts) == 3 {
 		r.Reason = parts[2]
 	}
@@ -230,23 +296,14 @@ func parseResponse(buf []byte) (resp *Response, ok bool, err error) {
 		}
 		r.Headers[strings.ToLower(strings.TrimSpace(k))] = strings.TrimSpace(v)
 	}
-	n := -1
+	n = -1
 	if cl, okH := r.Headers["content-length"]; okH {
 		n, err = strconv.Atoi(cl)
 		if err != nil || n < 0 {
-			return nil, false, errors.New("httpx: bad content-length")
+			return nil, 0, errors.New("httpx: bad content-length")
 		}
 	}
-	if n >= 0 {
-		if len(body) < n {
-			return nil, false, nil
-		}
-		r.Body = body[:n]
-		return r, true, nil
-	}
-	// No content length: close-delimited; caller must wait for EOF.
-	r.Body = body
-	return r, false, nil
+	return r, n, nil
 }
 
 // Client issues HTTP requests over a simulated TCP stack.
@@ -283,7 +340,10 @@ func (c *Client) Do(dst inet.HostPort, method, path string, body []byte, done fu
 		finished = true
 		done(r)
 	}
-	var buf []byte
+	// The response is read incrementally; a close-delimited one is partial
+	// until EOF completes it.
+	var rr responseReader
+	var partial *Response
 	complete := false
 
 	conn.OnConnect = func() {
@@ -302,32 +362,35 @@ func (c *Client) Do(dst inet.HostPort, method, path string, body []byte, done fu
 			conn.Abort()
 		}
 	}
-	tryParse := func(atEOF bool) {
-		resp, ok, err := parseResponse(buf)
-		if err != nil {
-			finish(Result{Err: err})
-			conn.Abort()
-			return
-		}
-		if ok || (atEOF && resp != nil) {
-			complete = true
-			finish(Result{Response: resp})
-			conn.Close()
-		} else if atEOF {
-			finish(Result{Err: errors.New("httpx: connection closed before response")})
-		}
-	}
 	conn.OnData = func(b []byte) {
 		if complete {
 			return
 		}
-		buf = append(buf, b...)
-		tryParse(false)
+		resp, ok, err := rr.feed(b)
+		switch {
+		case err != nil:
+			complete = true
+			finish(Result{Err: err})
+			conn.Abort()
+		case ok:
+			complete = true
+			finish(Result{Response: resp})
+			conn.Close()
+		default:
+			partial = resp
+		}
 	}
 	conn.OnEOF = func() {
-		if !complete {
-			tryParse(true)
+		if complete {
+			return
 		}
+		if partial != nil {
+			complete = true
+			finish(Result{Response: partial})
+			conn.Close()
+			return
+		}
+		finish(Result{Err: errors.New("httpx: connection closed before response")})
 	}
 	conn.OnClose = func(err error) {
 		if !complete {

@@ -2,6 +2,9 @@ package httpx
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -266,4 +269,89 @@ func TestQuickHTTPParsersNoPanic(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sameResponse reports whether two parsed responses are equal field by field.
+func sameResponse(a, b *Response) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Status == b.Status && a.Reason == b.Reason &&
+		reflect.DeepEqual(a.Headers, b.Headers) && bytes.Equal(a.Body, b.Body)
+}
+
+// TestResponseReaderSplits feeds responses to the client's reader split at
+// every byte offset, and one byte per segment, and requires every segment to
+// give what a one-shot parseResponse gives on everything received so far:
+// the same response (a close-delimited one with the same body so far),
+// complete on the same segment, or an error on the same segment.
+func TestResponseReaderSplits(t *testing.T) {
+	cases := []struct {
+		name string
+		raw  string
+	}{
+		{"content-length", "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 5\r\n\r\nhello"},
+		{"zero length", "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"},
+		{"bytes past length", "HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabcdef"},
+		{"blank line in body", "HTTP/1.1 200 OK\r\nContent-Length: 8\r\n\r\n\r\n\r\nabcd"},
+		{"close-delimited", "HTTP/1.0 200 OK\r\nX-A: b\r\n\r\nbody to eof"},
+		{"no reason, junk header", "HTTP/1.1 204\r\nnot a header\r\nContent-Length: 0\r\n\r\n"},
+		{"bad status line", "HTCPCP/1.0 418 Teapot\r\nContent-Length: 0\r\n\r\n"},
+		{"bad status", "HTTP/1.1 abc OK\r\nContent-Length: 0\r\n\r\n"},
+		{"bad content-length", "HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\nx"},
+		{"marshalled", string(NewResponse(200, "text/plain", []byte("payload\r\n\r\nmore")).marshal())},
+	}
+	check := func(t *testing.T, what string, rr *responseReader, seg, sofar []byte) bool {
+		t.Helper()
+		got, gotOK, gotErr := rr.feed(seg)
+		want, wantOK, wantErr := parseResponse(sofar)
+		if (gotErr != nil) != (wantErr != nil) || gotOK != wantOK || !sameResponse(got, want) {
+			t.Fatalf("%s: feed = (%+v, %v, %v), parseResponse = (%+v, %v, %v)",
+				what, got, gotOK, gotErr, want, wantOK, wantErr)
+		}
+		return gotOK || gotErr != nil
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			raw := []byte(c.raw)
+			for i := 0; i <= len(raw); i++ {
+				var rr responseReader
+				what := fmt.Sprintf("split at %d", i)
+				if !check(t, what+", first", &rr, raw[:i], raw[:i]) {
+					check(t, what+", second", &rr, raw[i:], raw)
+				}
+			}
+			var rr responseReader
+			for i := 1; i <= len(raw); i++ {
+				if check(t, fmt.Sprintf("byte %d", i), &rr, raw[i-1:i], raw[:i]) {
+					return
+				}
+			}
+		})
+	}
+}
+
+// TestResponseHeadCap: a response whose head never ends fails once more than
+// 64 KiB has arrived without its blank line, in parseResponse and on the
+// first segment past the cap in the client's reader.
+func TestResponseHeadCap(t *testing.T) {
+	head := bytes.Repeat([]byte("X-Pad: yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy\r\n"), 2000)
+	if _, _, err := parseResponse(head[:maxHead]); err != nil {
+		t.Fatalf("head of exactly %d bytes rejected: %v", maxHead, err)
+	}
+	if _, _, err := parseResponse(head); !errors.Is(err, errHeadTooLarge) {
+		t.Fatalf("unterminated %d-byte head: err = %v, want %v", len(head), err, errHeadTooLarge)
+	}
+	var rr responseReader
+	for off := 0; off < len(head); off += 1400 {
+		end := min(off+1400, len(head))
+		_, _, err := rr.feed(head[off:end])
+		if over := end > maxHead; (err != nil) != over {
+			t.Fatalf("after %d bytes: err = %v, want an error: %v", end, err, over)
+		}
+		if err != nil {
+			return
+		}
+	}
+	t.Fatal("reader never hit the head cap")
 }

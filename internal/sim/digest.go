@@ -8,6 +8,11 @@ package sim
 // and scheduling sequence number, and protocol layers mix the bytes of every
 // delivered frame via MixDigest.
 //
+// The folds are pure functions of (h, input): each observation loads the
+// kernel's hash once, folds every byte in a register and stores it once, so
+// a byte waits only on the previous byte's XOR and multiply. Folding through
+// the struct field made it also wait on a store-to-load forward.
+//
 // internal/check builds its determinism assertions on top of this.
 
 const (
@@ -25,28 +30,29 @@ type traceDigest struct {
 
 func newTraceDigest() traceDigest { return traceDigest{h: fnvOffset64} }
 
-func (d *traceDigest) mixByte(b byte) {
-	d.h = (d.h ^ uint64(b)) * fnvPrime64
-}
-
-func (d *traceDigest) mixUint64(v uint64) {
+// fnvUint64 folds v's eight bytes, least significant first.
+func fnvUint64(h, v uint64) uint64 {
 	for i := 0; i < 64; i += 8 {
-		d.mixByte(byte(v >> i))
+		h = (h ^ uint64(byte(v>>i))) * fnvPrime64
 	}
+	return h
 }
 
-func (d *traceDigest) mixBytes(p []byte) {
+// fnvBytes folds every byte of p.
+func fnvBytes(h uint64, p []byte) uint64 {
 	for _, b := range p {
-		d.mixByte(b)
+		h = (h ^ uint64(b)) * fnvPrime64
 	}
+	return h
 }
 
-// mixString mixes a length-prefixed string so "ab"+"c" != "a"+"bc".
-func (d *traceDigest) mixString(s string) {
-	d.mixUint64(uint64(len(s)))
+// fnvString folds s length-prefixed, so "ab"+"c" != "a"+"bc".
+func fnvString(h uint64, s string) uint64 {
+	h = fnvUint64(h, uint64(len(s)))
 	for i := 0; i < len(s); i++ {
-		d.mixByte(s[i])
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
+	return h
 }
 
 // Digest reports the current trace digest: a hash of every event fired and
@@ -63,17 +69,16 @@ func (k *Kernel) DigestObservations() uint64 { return k.digest.mixed }
 // ("phy/rx", "eth/rx", ...); data is the observed bytes. The current virtual
 // time is mixed automatically.
 func (k *Kernel) MixDigest(kind string, data []byte) {
+	h := fnvUint64(k.digest.h, uint64(k.now))
+	h = fnvString(h, kind)
+	h = fnvUint64(h, uint64(len(data)))
+	k.digest.h = fnvBytes(h, data)
 	k.digest.mixed++
-	k.digest.mixUint64(uint64(k.now))
-	k.digest.mixString(kind)
-	k.digest.mixUint64(uint64(len(data)))
-	k.digest.mixBytes(data)
 }
 
 // mixEvent folds one fired event into the digest: its virtual time and its
 // scheduling sequence number (which captures causal ordering exactly).
 func (k *Kernel) mixEvent(e *event) {
+	k.digest.h = fnvUint64(fnvUint64(k.digest.h, uint64(e.when)), e.seq)
 	k.digest.mixed++
-	k.digest.mixUint64(uint64(e.when))
-	k.digest.mixUint64(e.seq)
 }

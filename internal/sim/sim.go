@@ -98,10 +98,12 @@ type Kernel struct {
 	now Time
 	// Scheduler tiers (wheel.go): cur is the imminent (when, seq) heap for
 	// events at or before the cursor tick; slots/occ/wheelCount are the
-	// fixed-resolution wheel for the near-future window; overflow is the
-	// far-future heap that drains into the wheel as the cursor advances.
+	// fixed-resolution wheel for the near-future window, and spare stacks
+	// the emptied slot arrays for reuse; overflow is the far-future heap
+	// that drains into the wheel as the cursor advances.
 	cur        []*event
 	slots      [][]*event
+	spare      [][]*event
 	occ        [occWords]uint64
 	wheelCount int
 	cursor     int64

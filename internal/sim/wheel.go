@@ -29,6 +29,11 @@ import (
 //     pops in (when, seq) order, so same-tick overflow events arrive in
 //     their slot in seq order like directly inserted ones.
 //
+// A loaded slot's backing array goes onto a spare stack and the slot is
+// nilled; an insert into an empty slot pops a spare, so slot storage is
+// reused across slot indices and reaches a steady state with no per-event
+// growth.
+//
 // Cancel stays lazy everywhere: cancelled events (those whose fn Cancel
 // cleared) are dropped when their slot is loaded or when they surface at the
 // top of a heap, and every drop site recycles the struct into the freelist,
@@ -124,7 +129,11 @@ func (k *Kernel) insert(e *event) {
 			k.slots = make([][]*event, wheelSlots)
 		}
 		s := tk & wheelMask
-		k.slots[s] = append(k.slots[s], e)
+		slot := k.slots[s]
+		if slot == nil {
+			slot = k.popSpare()
+		}
+		k.slots[s] = append(slot, e)
 		k.occ[s>>6] |= 1 << uint(s&63)
 		k.wheelCount++
 	default:
@@ -140,9 +149,33 @@ func (k *Kernel) promote() {
 	}
 }
 
+// popSpare takes an emptied slot array off the spare stack, or returns nil
+// (append then allocates) when none is left.
+func (k *Kernel) popSpare() []*event {
+	n := len(k.spare)
+	if n == 0 {
+		return nil
+	}
+	slot := k.spare[n-1]
+	k.spare[n-1] = nil
+	k.spare = k.spare[:n-1]
+	return slot
+}
+
+// releaseSlot empties slot s, moving its backing array onto the spare stack
+// for the next insert into an empty slot. A slot's arrays thus follow the
+// events, not the slot index: the cursor turns the window every ~134 ms, so
+// in a short world nearly every insert is the first into its slot, and
+// arrays kept per slot would be allocated afresh almost every time. The
+// arrays in existence are bounded by the peak number of occupied slots.
+func (k *Kernel) releaseSlot(s int64) {
+	k.spare = append(k.spare, k.slots[s][:0])
+	k.slots[s] = nil
+	k.occ[s>>6] &^= 1 << uint(s&63)
+}
+
 // loadSlot moves the cursor slot's events into the imminent heap, dropping
-// cancelled ones. The slot's backing array is retained for reuse, so slot
-// storage reaches a steady state with no per-event growth.
+// cancelled ones, and releases the slot's array to the spare stack.
 func (k *Kernel) loadSlot() {
 	s := k.cursor & wheelMask
 	slot := k.slots[s]
@@ -158,8 +191,7 @@ func (k *Kernel) loadSlot() {
 		}
 		slot[i] = nil
 	}
-	k.slots[s] = slot[:0]
-	k.occ[s>>6] &^= 1 << uint(s&63)
+	k.releaseSlot(s)
 }
 
 // nextOccupied returns the tick of the first occupied slot after the cursor.
@@ -258,9 +290,8 @@ func (k *Kernel) drainQueue() {
 			word &^= 1 << uint(b)
 			s := int64(w)<<6 + int64(b)
 			drain(k.slots[s])
-			k.slots[s] = k.slots[s][:0]
+			k.releaseSlot(s)
 		}
-		k.occ[w] = 0
 	}
 	k.wheelCount = 0
 	drain(k.overflow)
@@ -305,6 +336,11 @@ func (k *Kernel) checkScheduler() error {
 	}
 	if counted != k.wheelCount {
 		return fmt.Errorf("wheel count %d but slots hold %d events", k.wheelCount, counted)
+	}
+	for i, slot := range k.spare {
+		if len(slot) != 0 {
+			return fmt.Errorf("spare slot array %d holds %d events", i, len(slot))
+		}
 	}
 	if len(k.overflow) > 0 {
 		if tk := tickOf(k.overflow[0].when); tk <= k.cursor+wheelSlots {

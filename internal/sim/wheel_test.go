@@ -219,3 +219,51 @@ func TestSlotTableLazy(t *testing.T) {
 		t.Fatalf("fired = %d, want all 3 queued events", k.fired)
 	}
 }
+
+// TestSparseWheelReusesSlotArrays pins the spare stack: a fresh kernel whose
+// few in-flight events each land in a slot of their own, together visiting
+// every slot on each of three rotations of the wheel, must allocate slot
+// arrays for its peak of occupied slots only. Kept per slot index, the
+// arrays would be allocated at the first insert into every slot visited.
+func TestSparseWheelReusesSlotArrays(t *testing.T) {
+	const chains, fires = 4, 3 * wheelSlots
+	tick := Time(1) << slotShift
+	var k *Kernel
+	fired := 0
+	var hop func()
+	hop = func() {
+		if fired++; fired < fires {
+			k.After(chains*tick, hop)
+		}
+	}
+	world := func(n int) func() {
+		return func() {
+			k = NewKernel(1)
+			fired = 0
+			for i := 1; i <= n; i++ {
+				k.At(Time(i)*tick, hop)
+			}
+			k.Run()
+		}
+	}
+	base := testing.AllocsPerRun(1, world(1)) // kernel, slot table, one chain
+	got := testing.AllocsPerRun(1, world(chains))
+	if fired < fires {
+		t.Fatalf("fired %d events, want at least %d", fired, fires)
+	}
+	t.Logf("one chain: %.0f allocations; %d chains: %.0f", base, chains, got)
+	// Per chain: its event, its slot array and a share of the freelist and
+	// heap growth; nothing per slot visited.
+	if extra := got - base; extra > 4*chains {
+		t.Fatalf("sparse wheel made %.0f allocations beyond one chain's %.0f, want at most %d",
+			extra, base, 4*chains)
+	}
+	// The scheduler invariant holds every spare array empty.
+	if err := k.checkScheduler(); err != nil {
+		t.Fatal(err)
+	}
+	k.spare = append(k.spare, []*event{{}})
+	if err := k.checkScheduler(); err == nil {
+		t.Fatal("checkScheduler accepted a spare array holding an event")
+	}
+}

@@ -32,6 +32,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
 )
 
 // Message types on the control/data channel.
@@ -96,11 +97,31 @@ func authTag(psk []byte, role string, nonceC, nonceS []byte) []byte {
 	return m.Sum(nil)
 }
 
+// recordMAC is one direction's record authenticator: the HMAC is keyed once
+// and Reset per record, and Sum writes into sum, so a record costs no key
+// schedule and no digest allocation.
+type recordMAC struct {
+	mac hash.Hash
+	sum [sha256.Size]byte
+}
+
+func newRecordMAC(key []byte) recordMAC {
+	return recordMAC{mac: hmac.New(sha256.New, key)}
+}
+
+// tag returns the truncated MAC of p. It aliases the recordMAC's own
+// buffer, so it is valid until the next call.
+func (r *recordMAC) tag(p []byte) []byte {
+	r.mac.Reset()
+	r.mac.Write(p)
+	return r.mac.Sum(r.sum[:0])[:macLen]
+}
+
 // sealer encrypts and authenticates data records in one direction.
 type sealer struct {
-	block  cipher.Block
-	macKey []byte
-	seq    uint64
+	block cipher.Block
+	mac   recordMAC
+	seq   uint64
 }
 
 func newSealer(encKey [16]byte, macKey []byte) *sealer {
@@ -108,7 +129,7 @@ func newSealer(encKey [16]byte, macKey []byte) *sealer {
 	if err != nil {
 		panic(err) // fixed key size; cannot fail
 	}
-	return &sealer{block: block, macKey: macKey}
+	return &sealer{block: block, mac: newRecordMAC(macKey)}
 }
 
 // seal produces seq(8) || ciphertext || mac(16).
@@ -119,9 +140,7 @@ func (s *sealer) seal(plaintext []byte) []byte {
 	var iv [16]byte
 	copy(iv[:8], out[0:8])
 	cipher.NewCTR(s.block, iv[:]).XORKeyStream(out[8:8+len(plaintext)], plaintext)
-	m := hmac.New(sha256.New, s.macKey)
-	m.Write(out[:8+len(plaintext)])
-	copy(out[8+len(plaintext):], m.Sum(nil)[:macLen])
+	copy(out[8+len(plaintext):], s.mac.tag(out[:8+len(plaintext)]))
 	return out
 }
 
@@ -134,8 +153,8 @@ var (
 
 // opener verifies and decrypts records in one direction with anti-replay.
 type opener struct {
-	block  cipher.Block
-	macKey []byte
+	block cipher.Block
+	mac   recordMAC
 	// Sliding anti-replay window.
 	maxSeq uint64
 	window uint64
@@ -151,7 +170,7 @@ func newOpener(encKey [16]byte, macKey []byte) *opener {
 	if err != nil {
 		panic(err)
 	}
-	return &opener{block: block, macKey: macKey}
+	return &opener{block: block, mac: newRecordMAC(macKey)}
 }
 
 // open verifies and decrypts a record produced by seal.
@@ -160,9 +179,7 @@ func (o *opener) open(record []byte) ([]byte, error) {
 		return nil, ErrRecordShort
 	}
 	body := record[:len(record)-macLen]
-	m := hmac.New(sha256.New, o.macKey)
-	m.Write(body)
-	if !hmac.Equal(m.Sum(nil)[:macLen], record[len(record)-macLen:]) {
+	if !hmac.Equal(o.mac.tag(body), record[len(record)-macLen:]) {
 		o.MACFailures++
 		return nil, ErrRecordMAC
 	}
