@@ -220,6 +220,82 @@ func TestCableBackToBackFramesSerialise(t *testing.T) {
 	}
 }
 
+// TestCableSendAllocatesNothing pins the wired path's steady state: once the
+// in-flight queue, the event freelist and the buffer pool are warm, a send
+// and its delivery allocate nothing.
+func TestCableSendAllocatesNothing(t *testing.T) {
+	k, a, b := testPair(t)
+	delivered := 0
+	b.SetReceiver(func(f Frame) { delivered++ })
+	payload := make([]byte, 100)
+	step := func() {
+		send(a, b.HWAddr(), TypeIPv4, payload)
+		send(a, b.HWAddr(), TypeIPv4, payload)
+		k.Run()
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("%v allocations per two sends and deliveries, want 0", allocs)
+	}
+	if delivered != 2*102 { // the warm-up, AllocsPerRun's own warm-up, 100 runs
+		t.Fatalf("delivered %d frames, want %d", delivered, 2*102)
+	}
+}
+
+// TestCableDupFaultDeliversInOrder duplicates every frame on the wire: both
+// copies of each frame must arrive, in send order, and every buffer must go
+// back to the pool once the copies have been delivered.
+func TestCableDupFaultDeliversInOrder(t *testing.T) {
+	k, a, b := testPair(t)
+	a.SetFaults(&FaultProfile{DupP: 1, RNG: sim.NewRNG(3)})
+	var got []byte
+	b.SetReceiver(func(f Frame) { got = append(got, f.Payload[0]) })
+	for i := byte(1); i <= 4; i++ {
+		send(a, b.HWAddr(), TypeIPv4, []byte{i, 0, 0})
+	}
+	send(b, a.HWAddr(), TypeIPv4, []byte{9}) // the other direction has its own queue
+	k.Run()
+	if want := []byte{1, 1, 2, 2, 3, 3, 4, 4}; string(got) != string(want) {
+		t.Fatalf("arrival order %v, want %v", got, want)
+	}
+	if a.FaultDuplicated != 4 || b.RxFrames != 8 || a.RxFrames != 1 {
+		t.Fatalf("duplicated %d, b received %d, a received %d", a.FaultDuplicated, b.RxFrames, a.RxFrames)
+	}
+	if st := k.BufPool().Stats(); st.Gets != st.Puts {
+		t.Fatalf("pool: %d buffers out, %d back", st.Gets, st.Puts)
+	}
+}
+
+// TestCableQueueStaysBounded keeps the wire from ever draining: each
+// arrival triggers the next send while two frames are still in flight.
+// Frames must still arrive in send order, and the in-flight queue must
+// compact rather than grow with every frame sent.
+func TestCableQueueStaysBounded(t *testing.T) {
+	k, a, b := testPair(t)
+	const frames = 1000
+	next, want := 3, 0
+	b.SetReceiver(func(f Frame) {
+		if got := int(f.Payload[0]) | int(f.Payload[1])<<8; got != want {
+			t.Fatalf("frame %d arrived, want %d", got, want)
+		}
+		want++
+		if next < frames {
+			send(a, b.HWAddr(), TypeIPv4, []byte{byte(next), byte(next >> 8)})
+			next++
+		}
+	})
+	for i := 0; i < 3; i++ {
+		send(a, b.HWAddr(), TypeIPv4, []byte{byte(i), byte(i >> 8)})
+	}
+	k.Run()
+	if want != frames {
+		t.Fatalf("%d frames arrived, want %d", want, frames)
+	}
+	if c := cap(a.wire); c > 16 {
+		t.Fatalf("in-flight queue grew to capacity %d for at most 3 frames in flight", c)
+	}
+}
+
 func TestCableDropsOversize(t *testing.T) {
 	k, a, b := testPair(t)
 	delivered := false

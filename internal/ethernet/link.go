@@ -19,6 +19,15 @@ type Port struct {
 	propDelay  sim.Time
 	// busyUntil serialises transmissions in this direction.
 	busyUntil sim.Time
+	// wire holds the frames in flight to the peer in send order, the next
+	// to arrive at wire[head]; arriveFn, bound once, delivers it. Arrivals
+	// come in send order: busyUntil serialises the sends, propDelay and the
+	// peer are fixed, and equal arrival times fire in scheduling order. The
+	// queue resets when it drains and compacts before it would grow, so it
+	// holds at most twice the frames ever in flight at once.
+	wire     []inFlight
+	head     int
+	arriveFn func()
 
 	recv        Receiver
 	promiscuous bool
@@ -29,6 +38,12 @@ type Port struct {
 	TxBytes, RxBytes   uint64
 	// Fault counters (only move while a FaultProfile is installed).
 	FaultDrops, FaultCorrupted, FaultDuplicated uint64
+}
+
+// inFlight is one frame on the cable and the buffer its payload views.
+type inFlight struct {
+	f  Frame
+	pb *pkt.Buf
 }
 
 // FaultProfile injects wire-level faults into a port's transmissions: a bad
@@ -76,6 +91,7 @@ func NewCable(k *sim.Kernel, macA, macB MAC, cfg PortConfig) (*Port, *Port) {
 	a := &Port{kernel: k, mac: macA, mtu: cfg.MTU, bitsPerSec: cfg.BitsPerSec, propDelay: cfg.PropDelay}
 	b := &Port{kernel: k, mac: macB, mtu: cfg.MTU, bitsPerSec: cfg.BitsPerSec, propDelay: cfg.PropDelay}
 	a.peer, b.peer = b, a
+	a.arriveFn, b.arriveFn = a.arrive, b.arrive
 	return a, b
 }
 
@@ -150,7 +166,7 @@ func (p *Port) xmit(f Frame, pb *pkt.Buf) {
 // transmit is the fault-free wire path: serialise on the cable, deliver to
 // the peer after airtime plus propagation.
 //
-//simvet:owner transfer pb rides the scheduled delivery closure to the peer's deliver
+//simvet:owner transfer pb joins the in-flight queue, which arrive hands to the peer's deliver
 func (p *Port) transmit(f Frame, pb *pkt.Buf) {
 	txTime := sim.Time(math.Round(float64(f.WireLen()*8) / p.bitsPerSec * float64(sim.Second)))
 	start := p.kernel.Now()
@@ -161,8 +177,25 @@ func (p *Port) transmit(f Frame, pb *pkt.Buf) {
 	p.busyUntil = end
 	p.TxFrames++
 	p.TxBytes += uint64(f.WireLen())
-	peer := p.peer
-	p.kernel.At(end+p.propDelay, func() { peer.deliver(f, pb) })
+	if len(p.wire) == cap(p.wire) && p.head > 0 {
+		n := copy(p.wire, p.wire[p.head:])
+		clear(p.wire[n:])
+		p.wire, p.head = p.wire[:n], 0
+	}
+	p.wire = append(p.wire, inFlight{f, pb})
+	p.kernel.At(end+p.propDelay, p.arriveFn)
+}
+
+// arrive pops the oldest frame in flight and delivers it to the peer. The
+// slot is cleared, and a drained queue reset, before the delivery runs, so
+// a send the receiver makes in turn queues behind nothing stale.
+func (p *Port) arrive() {
+	w := p.wire[p.head]
+	p.wire[p.head] = inFlight{}
+	if p.head++; p.head == len(p.wire) {
+		p.wire, p.head = p.wire[:0], 0
+	}
+	p.peer.deliver(w.f, w.pb)
 }
 
 // deliver hands the frame to the receiver callback and retires the buffer.

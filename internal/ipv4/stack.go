@@ -324,6 +324,13 @@ func (s *Stack) route(pkt *Packet, inIface string, pb *pktbuf.Buf) error {
 		ifc.NIC.SendBuf(ethernet.BroadcastMAC, ethernet.TypeIPv4, pb)
 		return nil
 	}
+	// A cache hit sends directly: Lookup is a pure cache read, and Resolve
+	// would only call back at once with the same answer. Only a miss pays
+	// for the callback.
+	if mac, ok := ifc.ARP.Lookup(nextHop); ok {
+		ifc.NIC.SendBuf(mac, ethernet.TypeIPv4, pb)
+		return nil
+	}
 	ifc.ARP.Resolve(nextHop, func(mac ethernet.MAC, err error) {
 		if err != nil {
 			pb.Release()

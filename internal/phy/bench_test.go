@@ -85,11 +85,11 @@ func benchmarkMediumBroadcastDense(b *testing.B) {
 }
 
 // BenchmarkMediumBroadcast stands for phy's share of the campus workloads:
-// 78% of campus-join CPU and 67% of campus-steady's in one traced seed-1
+// 75% of campus-join CPU and 58% of campus-steady's in one traced seed-1
 // run of bench/run.sh on 2 vCPUs, nearly all of it Medium.complete's
 // per-candidate delivery loop. The radios=N cases price the gather as the
 // world grows; the dense case prices the fan-out, capture test and loss
-// draws that a campus join spends that share on.
+// decisions that a campus join spends that share on.
 func BenchmarkMediumBroadcast(b *testing.B) {
 	for _, n := range []int{64, 1024, 4096} {
 		n := n

@@ -179,6 +179,10 @@ type Medium struct {
 	burst    *BurstLoss
 	burstBad bool
 
+	// lossMix counts loss decisions by the path they took (loss.go): per
+	// medium, so worlds running side by side share no counter.
+	lossMix [numLossPaths]uint64
+
 	// freeTx is the LIFO freelist of recycled transmission structs. A
 	// transmission is recycled only once its own completion has run and no
 	// other live transmission's overlaps list references it (pins == 0), so
@@ -568,11 +572,13 @@ func (m *Medium) complete(tx *transmission) {
 			continue
 		}
 		var rssi float64
+		var survives bool
 		if m.spatial {
 			// Unshadowed, so rssi is a pure function of the geometry: the
-			// floor and the capture test decide from the squared distance
-			// (DESIGN.md §13.2), and only a frame that reaches the loss
-			// model pays rssi's Hypot and Log10.
+			// floor, the capture test and the loss model decide from the
+			// squared distance (DESIGN.md §13.2), and only a frame that is
+			// delivered or a draw the loss enclosure cannot settle pays
+			// rssi's Hypot and Log10.
 			//
 			// Below the decode floor: deterministically lost, no RNG draw.
 			// The floor deliberately ignores channel rejection — it is the
@@ -592,23 +598,25 @@ func (m *Medium) complete(tx *transmission) {
 				m.Collisions++
 				continue
 			}
-			rssi = m.rssiAt(tx, rx, rej)
+			rssi, survives = m.survivesAt(tx, rx, rej, d2)
 		} else {
 			// Shadowed, where rssi carries a draw that must come first, or
-			// the flat test medium: no floor, and the dB capture test.
+			// the flat test medium: no floor, the dB capture test, and the
+			// loss model from the SNR itself.
 			rssi = m.rssiAt(tx, rx, rej)
 			if m.overlapCollidesDB(tx, rx, rssi) {
 				rx.RxCollisions++
 				m.Collisions++
 				continue
 			}
+			survives = m.frameSurvives(rssi-m.cfg.NoiseFloorDBm, len(tx.data), rate)
 		}
-		snr := rssi - m.cfg.NoiseFloorDBm
-		if !m.frameSurvives(snr, len(tx.data), rate) {
+		if !survives {
 			rx.RxBelowSNR++
 			m.SNRDrops++
 			continue
 		}
+		snr := rssi - m.cfg.NoiseFloorDBm
 		rx.RxFrames++
 		m.Deliveries++
 		m.kernel.MixDigest(rx.digestLabel, tx.data)
@@ -633,63 +641,6 @@ func (m *Medium) retire(tx *transmission) {
 	if tx.pins == 0 {
 		m.putTx(tx)
 	}
-}
-
-// frameSurvives applies the SNR/size loss model: a logistic per-frame success
-// curve centred on the rate's required SNR, sharpened for larger frames. The
-// frame survives with probability pBit^blocks, decided exactly as
-// m.rng.Bool(math.Pow(pBit, blocks)) would: same draws, same boolean. When
-// that Bool would draw, the draw is compared with integer-power bounds first
-// and the Pow runs only for a draw within lossGuard of them (DESIGN.md §13.2).
-func (m *Medium) frameSurvives(snr float64, size int, rate Rate) bool {
-	margin := snr - rate.requiredSNR()
-	pBit := 1 / (1 + math.Exp(-margin*1.2)) // per-"block" success
-	// Longer frames face more chances to be hit; normalise to 256-byte blocks.
-	blocks := float64(size)/256 + 1
-	if blocks <= maxBoundBlocks {
-		// 0 < pBit^blocks < 1 inside this window, so Bool draws exactly once.
-		if lo, hi := powBounds(pBit, blocks); lo > 1e-300 && hi < 1-lossGuard {
-			return survivesDraw(m.rng.Float64(), pBit, blocks, lo, hi)
-		}
-	}
-	return m.rng.Bool(math.Pow(pBit, blocks))
-}
-
-// lossGuard is the relative margin by which a loss draw must clear a bound
-// of powBounds for the bound to decide it.
-const lossGuard = 1e-9
-
-// maxBoundBlocks caps the repeated multiplication in powBounds (frames up to
-// 16 KB), which keeps its rounding error under 1e-14 relative.
-const maxBoundBlocks = 64
-
-// powBounds returns lo = p^⌈blocks⌉ and hi = p^⌊blocks⌋ by repeated
-// multiplication, for 1 ≤ blocks ≤ maxBoundBlocks. For 0 ≤ p ≤ 1 the real
-// p^blocks lies between them; they are equal when blocks is an integer.
-func powBounds(p, blocks float64) (lo, hi float64) {
-	n := int(blocks)
-	hi = p
-	for i := 1; i < n; i++ {
-		hi *= p
-	}
-	if float64(n) == blocks {
-		return hi, hi
-	}
-	return hi * p, hi
-}
-
-// survivesDraw reports u < math.Pow(pBit, blocks) for the draw u, given the
-// bounds lo and hi from powBounds. Every computed quantity is within about
-// 1e-14 relative of its real value, so a draw more than lossGuard outside
-// [lo, hi] is decided by the bound alone.
-func survivesDraw(u, pBit, blocks, lo, hi float64) bool {
-	switch {
-	case u < lo*(1-lossGuard):
-		return true
-	case u >= hi*(1+lossGuard):
-		return false
-	}
-	return u < math.Pow(pBit, blocks)
 }
 
 // SNRAt reports the SNR a receiver at pos would see from a transmitter —

@@ -165,22 +165,28 @@ func TestDecodeFloorSkipsWithoutDraw(t *testing.T) {
 
 // TestShardedMatchesUnshardedDigest is the whole-loop differential. With
 // every radio inside every sender's decode range, the sharded medium (grid
-// gather, squared-distance floor, ratio capture test, rssi only for frames
-// that reach the loss model) must reproduce the flat scan (every radio, no
-// floor, dB capture test, rssi first) byte-identically: same candidates,
-// same order, same draws, same outcomes. Senders fire in bursts of up to
-// four frames in the same instant, so capture and collisions run, and the
-// world adds a sender 6 dB hot, sub-metre clusters (the distance clamp) and
-// adjacent channels. Run with and without shadowing (shadowing adds a
-// per-candidate draw and disables pruning).
+// gather, squared-distance floor, ratio capture test, loss decision from
+// the squared distance, rssi only where needed) must reproduce the flat
+// scan (every radio, no floor, dB capture test, rssi first, loss decision
+// from the SNR) byte-identically: same candidates, same order, same draws,
+// same outcomes. Senders fire in bursts of up to four frames in the same
+// instant, so capture and collisions run, and each world adds a sender 6 dB
+// hot, sub-metre clusters (the distance clamp) and adjacent channels. The
+// compact world keeps every pair within 213 m; the wide one spans to just
+// inside the 398 m default-power decode reach, so most draws fall where the
+// loss model is uncertain, and mixes 1 and 11 Mb/s frames with integer and
+// fractional block counts. Run with and without shadowing (shadowing adds a
+// per-candidate draw and disables pruning). On the wide world every loss
+// path must be taken, and 99% of decisions must need no Exp or Pow.
 func TestShardedMatchesUnshardedDigest(t *testing.T) {
 	type outcome struct {
 		digest                           uint64
 		rx                               [][3]uint64 // RxFrames, RxCollisions, RxBelowSNR
 		deliveries, collisions, snrDrops uint64
 		captured                         int // deliveries of frames sent in a burst
+		mix                              [numLossPaths]uint64
 	}
-	run := func(sigma float64, flat bool) outcome {
+	run := func(wide bool, sigma float64, flat bool) outcome {
 		k := sim.NewKernel(7)
 		newMedium := NewMedium
 		if flat {
@@ -188,12 +194,16 @@ func TestShardedMatchesUnshardedDigest(t *testing.T) {
 		}
 		m := newMedium(k, Config{ShadowingSigmaDB: sigma})
 		layout := sim.NewRNG(11)
-		radios := make([]*Radio, 0, 40)
+		// A 150 m square keeps every pair within 213 m; a 280 m one within
+		// 396 m, inside a default-power decode reach of ~398 m.
+		n, side := 40, 150.0
+		if wide {
+			n, side = 64, 280
+		}
+		radios := make([]*Radio, 0, n)
 		heard := 0
-		for i := 0; i < 40; i++ {
-			// A 150 m square: every pair is within 213 m, inside a
-			// default-power decode reach of ~398 m.
-			pos := Position{X: layout.Float64() * 150, Y: layout.Float64() * 150}
+		for i := 0; i < n; i++ {
+			pos := Position{X: layout.Float64() * side, Y: layout.Float64() * side}
 			if i%5 == 4 {
 				// Within half a metre of the previous radio.
 				base := radios[i-1].pos
@@ -208,40 +218,81 @@ func TestShardedMatchesUnshardedDigest(t *testing.T) {
 			radios = append(radios, r)
 		}
 		captured := 0
-		for round := 0; round < 80; round++ {
-			before := heard
-			for j := 0; j <= round%4; j++ {
-				payload := make([]byte, 40+(round*37+j*101)%900)
-				payload[0], payload[1] = byte(round), byte(j)
-				radios[(round*7+j*13)%len(radios)].SendBuf(pkt.Wrap(payload), Rate11Mbps)
+		rounds, gap, burst := 80, 5*sim.Millisecond, func(round int) int { return round % 4 }
+		if wide {
+			// Mostly lone frames, spaced wider than a 2346-byte frame's
+			// 19 ms at 1 Mb/s, so every candidate reaches the loss model;
+			// a burst of four every eighth round.
+			rounds, gap = 240, 25*sim.Millisecond
+			burst = func(round int) int {
+				if round%8 == 0 {
+					return 3
+				}
+				return 0
 			}
-			k.RunFor(5 * sim.Millisecond)
-			if round%4 > 0 {
+		}
+		for round := 0; round < rounds; round++ {
+			before := heard
+			for j := 0; j <= burst(round); j++ {
+				size, rate := 40+(round*37+j*101)%900, Rate11Mbps
+				if wide {
+					switch round % 3 {
+					case 0:
+						size = 256 * (1 + round%4) // an integer block count
+					case 1:
+						size = 2346 // the largest MSDU: ~10 blocks
+					}
+					if round%2 == 1 {
+						rate = Rate1Mbps
+					}
+				}
+				payload := make([]byte, size)
+				payload[0], payload[1] = byte(round), byte(j)
+				radios[(round*7+j*13)%len(radios)].SendBuf(pkt.Wrap(payload), rate)
+			}
+			k.RunFor(gap)
+			if burst(round) > 0 {
 				captured += heard - before
 			}
 		}
 		k.Run()
-		o := outcome{digest: k.Digest(), deliveries: m.Deliveries, collisions: m.Collisions, snrDrops: m.SNRDrops, captured: captured}
+		o := outcome{digest: k.Digest(), deliveries: m.Deliveries, collisions: m.Collisions,
+			snrDrops: m.SNRDrops, captured: captured, mix: m.lossMix}
 		for _, r := range radios {
 			o.rx = append(o.rx, [3]uint64{r.RxFrames, r.RxCollisions, r.RxBelowSNR})
 		}
 		return o
 	}
-	for _, sigma := range []float64{0, 3} {
-		sharded, flat := run(sigma, false), run(sigma, true)
-		t.Logf("sigma=%v: %d delivered (%d captured in a burst), %d collided, %d lost to SNR",
-			sigma, flat.deliveries, flat.captured, flat.collisions, flat.snrDrops)
-		if flat.captured == 0 || flat.collisions == 0 || flat.snrDrops == 0 {
-			t.Fatalf("sigma=%v: weak scenario: %d captured in a burst, %d collided, %d lost to SNR",
-				sigma, flat.captured, flat.collisions, flat.snrDrops)
-		}
-		if sharded.digest != flat.digest {
-			t.Fatalf("sigma=%v: sharded digest %016x != unsharded %016x", sigma, sharded.digest, flat.digest)
-		}
-		for i := range flat.rx {
-			if sharded.rx[i] != flat.rx[i] {
-				t.Fatalf("sigma=%v radio %d: sharded [rx, collided, below SNR] %v, unsharded %v",
-					sigma, i, sharded.rx[i], flat.rx[i])
+	for _, wide := range []bool{false, true} {
+		for _, sigma := range []float64{0, 3} {
+			sharded, flat := run(wide, sigma, false), run(wide, sigma, true)
+			t.Logf("wide=%v sigma=%v: %d delivered (%d captured in a burst), %d collided, %d lost to SNR; loss paths %v: %v",
+				wide, sigma, flat.deliveries, flat.captured, flat.collisions, flat.snrDrops, pathNames, sharded.mix)
+			if flat.captured == 0 || flat.collisions == 0 || flat.snrDrops == 0 {
+				t.Fatalf("wide=%v sigma=%v: weak scenario: %d captured in a burst, %d collided, %d lost to SNR",
+					wide, sigma, flat.captured, flat.collisions, flat.snrDrops)
+			}
+			if sharded.digest != flat.digest {
+				t.Fatalf("wide=%v sigma=%v: sharded digest %016x != unsharded %016x", wide, sigma, sharded.digest, flat.digest)
+			}
+			for i := range flat.rx {
+				if sharded.rx[i] != flat.rx[i] {
+					t.Fatalf("wide=%v sigma=%v radio %d: sharded [rx, collided, below SNR] %v, unsharded %v",
+						wide, sigma, i, sharded.rx[i], flat.rx[i])
+				}
+			}
+			if !wide || sigma != 0 {
+				continue
+			}
+			var total uint64
+			for p, c := range sharded.mix {
+				if c == 0 {
+					t.Fatalf("wide world: loss path %s never taken: %v", pathNames[p], sharded.mix)
+				}
+				total += c
+			}
+			if free := sharded.mix[lossSettled] + sharded.mix[lossCertain]; 100*free < 99*total {
+				t.Fatalf("wide world: %d of %d loss decisions needed no Exp or Pow, want 99%%", free, total)
 			}
 		}
 	}
