@@ -135,9 +135,9 @@ func printDownload(o *core.ScenarioOutcome) {
 		fmt.Printf("VERDICT: anomalous (tampered=%v md5ok=%v)\n", res.Tampered, res.MD5OK)
 	}
 	w := o.World
-	if w.Cfg.Rogue && w.Rogue.Netsed != nil {
+	if w.Netsed != nil {
 		fmt.Printf("(netsed: %d connection(s), %d substitution(s))\n",
-			w.Rogue.Netsed.Connections, w.Rogue.Netsed.ReplacementsIn)
+			w.Netsed.Connections, w.Netsed.ReplacementsIn)
 	}
 }
 

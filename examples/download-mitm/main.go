@@ -70,7 +70,7 @@ func main() {
 	if res.Compromised() {
 		fmt.Println("COMPROMISED: the victim verified and will run the trojan.")
 		fmt.Printf("netsed applied %d substitution(s) across %d proxied connection(s).\n",
-			w.Rogue.Netsed.ReplacementsIn, w.Rogue.Netsed.Connections)
+			w.Netsed.ReplacementsIn, w.Netsed.Connections)
 	} else {
 		log.Fatalf("attack failed: %+v", res)
 	}

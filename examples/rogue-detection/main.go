@@ -31,7 +31,7 @@ func main() {
 	mon := dot11.NewMonitor(w.Medium.AddRadio(phy.RadioConfig{
 		Name: "sensor", Pos: phy.Position{X: 20}, Channel: 1,
 	}))
-	det := detect.New(w.Kernel, detect.Config{})
+	det := detect.New(w.Kernel)
 	det.Attach(mon)
 	detect.NewHopper(w.Kernel, mon, 200*sim.Millisecond)
 

@@ -67,27 +67,14 @@ func Unmarshal(b []byte) (Packet, error) {
 	return p, nil
 }
 
-// Config tunes a Client. Zero values take defaults.
-type Config struct {
-	// CacheTTL is how long learned entries stay fresh (default 60 s).
-	CacheTTL sim.Time
-	// RequestTimeout is the per-attempt resolution timeout (default 1 s).
-	RequestTimeout sim.Time
-	// MaxRetries bounds resolution attempts (default 3).
-	MaxRetries int
-}
-
-func (c *Config) fill() {
-	if c.CacheTTL == 0 {
-		c.CacheTTL = 60 * sim.Second
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = sim.Second
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-}
+// Resolution and cache timing: learned entries stay fresh for cacheTTL, each
+// request attempt waits requestTimeout, and a resolution gives up after
+// maxRetries attempts.
+const (
+	cacheTTL       = 60 * sim.Second
+	requestTimeout = sim.Second
+	maxRetries     = 3
+)
 
 type cacheEntry struct {
 	mac     ethernet.MAC
@@ -109,7 +96,6 @@ type Client struct {
 	kernel *sim.Kernel
 	nic    ethernet.NIC
 	ip     inet.Addr
-	cfg    Config
 	cache  map[inet.Addr]cacheEntry
 	wait   map[inet.Addr]*pending
 
@@ -132,13 +118,11 @@ type Client struct {
 // NewClient attaches an ARP engine to a NIC. Note: the engine does not take
 // over the NIC receiver; the owner (usually ipv4.Stack) must route EtherType
 // ARP frames to HandleFrame.
-func NewClient(k *sim.Kernel, nic ethernet.NIC, ip inet.Addr, cfg Config) *Client {
-	cfg.fill()
+func NewClient(k *sim.Kernel, nic ethernet.NIC, ip inet.Addr) *Client {
 	c := &Client{
 		kernel: k,
 		nic:    nic,
 		ip:     ip,
-		cfg:    cfg,
 		cache:  make(map[inet.Addr]cacheEntry),
 		wait:   make(map[inet.Addr]*pending),
 	}
@@ -161,7 +145,7 @@ func (c *Client) checkConsistency() error {
 		if e.learned > now {
 			return errors.New("arp: cache entry for " + ip.String() + " learned in the future")
 		}
-		if now-e.learned > c.cfg.CacheTTL {
+		if now-e.learned > cacheTTL {
 			return errors.New("arp: stale cache entry for " + ip.String() + " outlived its TTL eviction")
 		}
 		if ip.IsUnspecified() {
@@ -170,7 +154,7 @@ func (c *Client) checkConsistency() error {
 	}
 	//simvet:allow maporder invariant check is order-independent: any hit aborts, and sorting addr keys per event boundary costs more than the check
 	for ip, p := range c.wait {
-		if p.attempts < 1 || p.attempts > c.cfg.MaxRetries {
+		if p.attempts < 1 || p.attempts > maxRetries {
 			return errors.New("arp: pending resolution for " + ip.String() + " with attempt count out of range")
 		}
 		if len(p.callbacks) == 0 {
@@ -186,7 +170,7 @@ func (c *Client) IP() inet.Addr { return c.ip }
 // Lookup consults the cache without generating traffic.
 func (c *Client) Lookup(ip inet.Addr) (ethernet.MAC, bool) {
 	e, ok := c.cache[ip]
-	if !ok || c.kernel.Now()-e.learned > c.cfg.CacheTTL {
+	if !ok || c.kernel.Now()-e.learned > cacheTTL {
 		return ethernet.MAC{}, false
 	}
 	return e.mac, true
@@ -200,7 +184,7 @@ func (c *Client) learn(ip inet.Addr, mac ethernet.MAC) {
 	_, had := c.cache[ip]
 	c.cache[ip] = cacheEntry{mac: mac, learned: c.kernel.Now()}
 	if !had {
-		c.armExpiry(ip, c.kernel.Now()+c.cfg.CacheTTL)
+		c.armExpiry(ip, c.kernel.Now()+cacheTTL)
 	}
 	if p, ok := c.wait[ip]; ok {
 		delete(c.wait, ip)
@@ -220,7 +204,7 @@ func (c *Client) armExpiry(ip inet.Addr, at sim.Time) {
 		if !ok {
 			return
 		}
-		if deadline := e.learned + c.cfg.CacheTTL; deadline > c.kernel.Now() {
+		if deadline := e.learned + cacheTTL; deadline > c.kernel.Now() {
 			c.armExpiry(ip, deadline)
 			return
 		}
@@ -250,11 +234,11 @@ func (c *Client) sendRequest(ip inet.Addr, p *pending) {
 	c.RequestsSent++
 	req := Packet{Op: OpRequest, SenderHW: c.nic.HWAddr(), SenderIP: c.ip, TargetIP: ip}
 	c.send(ethernet.BroadcastMAC, req)
-	p.timer = c.kernel.After(c.cfg.RequestTimeout, func() {
+	p.timer = c.kernel.After(requestTimeout, func() {
 		if _, still := c.wait[ip]; !still {
 			return
 		}
-		if p.attempts >= c.cfg.MaxRetries {
+		if p.attempts >= maxRetries {
 			delete(c.wait, ip)
 			for _, cb := range p.callbacks {
 				cb(ethernet.MAC{}, ErrTimeout)

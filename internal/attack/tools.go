@@ -27,7 +27,7 @@ type Deauther struct {
 // NewDeauther wraps a radio tuned to the victim's current channel.
 func NewDeauther(k *sim.Kernel, medium *phy.Medium, pos phy.Position, channel phy.Channel) *Deauther {
 	radio := medium.AddRadio(phy.RadioConfig{Name: "deauther", Pos: pos, Channel: channel})
-	return &Deauther{kernel: k, injector: dot11.NewInjector(k, radio, 0)}
+	return &Deauther{kernel: k, injector: dot11.NewInjector(k, radio)}
 }
 
 // SetChannel retunes the deauther.

@@ -61,8 +61,9 @@ func ScenarioNames() []string {
 	}
 }
 
-// ScenarioConfig builds the world configuration for a named scenario.
-func ScenarioConfig(name string, seed uint64) (Config, error) {
+// scenarioConfig builds the world configuration for a named single-victim
+// scenario.
+func scenarioConfig(name string, seed uint64) (Config, error) {
 	cfg := Config{Seed: seed}
 	switch name {
 	case "healthy":
@@ -114,10 +115,6 @@ func ScenarioConfig(name string, seed uint64) (Config, error) {
 		cfg.Overlay = true
 		cfg.VPNKeepalive = 2 * sim.Second
 		cfg.Faults = "relay-drop"
-	case "campus", "campus-rogue":
-		// Generated-topology scenarios have no single-victim Config; they
-		// are dispatched directly by RunScenarioOpts.
-		return Config{}, fmt.Errorf("core: scenario %q uses a generated topology and has no Config; use RunScenarioOpts", name)
 	default:
 		return Config{}, fmt.Errorf("core: unknown scenario %q", name)
 	}
@@ -146,10 +143,10 @@ type ScenarioOpts struct {
 func RunScenarioOpts(name string, seed uint64, opts ScenarioOpts) (*ScenarioOutcome, error) {
 	if name == "campus" || name == "campus-rogue" {
 		// Campus scenarios build a generated world, not the single-victim
-		// Config world, so they dispatch before ScenarioConfig.
+		// Config world, so they dispatch before scenarioConfig.
 		return runCampusScenario(name, seed, opts)
 	}
-	cfg, err := ScenarioConfig(name, seed)
+	cfg, err := scenarioConfig(name, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +245,7 @@ func runDetectScenario(name string, w *World) *ScenarioOutcome {
 	o := &ScenarioOutcome{Name: name, World: w}
 
 	mon := w.NewSensor("sensor", phy.Position{X: 20}, 1)
-	d := detect.New(w.Kernel, detect.Config{})
+	d := detect.New(w.Kernel)
 	d.Attach(mon)
 	detect.NewHopper(w.Kernel, mon, 200*sim.Millisecond)
 	d.OnAlert = func(a detect.Alert) { o.milestonef("ALERT: %v", a) }

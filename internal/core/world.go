@@ -10,8 +10,10 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/inet"
 	"repro/internal/ipv4"
+	"repro/internal/netsed"
 	"repro/internal/phy"
 	"repro/internal/sim"
+	"repro/internal/tcp"
 	"repro/internal/vpn"
 	"repro/internal/wep"
 )
@@ -35,9 +37,6 @@ var (
 	// the mesh always has an alternate chain to fail over to.
 	Relay1IP = inet.MustParseAddr("198.18.0.51")
 	Relay2IP = inet.MustParseAddr("198.18.0.52")
-
-	// TunnelPrefix is the VPN virtual subnet.
-	TunnelPrefix = inet.MustParsePrefix("10.99.0.0/24")
 )
 
 // CorpBSSID is the real AP's BSSID — the paper's Figure 1 shows the rogue
@@ -96,10 +95,11 @@ type Config struct {
 	// RogueStationMAC overrides the attacker's client-side MAC (for the
 	// MAC-filter bypass, clone VictimMAC or a harvested MAC).
 	RogueStationMAC ethernet.MAC
-	// ExtraNetsedRules appends additional substitutions to the rogue's
+	// ExtraNetsedRules appends additional substitutions to the attacker's
 	// netsed (e.g. §5.1's script injection into any trusted page).
 	ExtraNetsedRules []string
-	// RoguePureRelay disables the MITM payload (bridge only).
+	// RoguePureRelay leaves the rogue without the MITM payload (bridge
+	// only).
 	RoguePureRelay bool
 
 	// VPNServer stands up the trusted endpoint on the wired side.
@@ -186,8 +186,10 @@ type World struct {
 	VictimVPN    *vpn.Client
 
 	Rogue *attack.RogueKit
-	// RogueWeb serves the trojan from the attacker's gateway.
-	RogueWeb *httpx.Server
+	// Netsed is the attacker's netsed, on whichever gateway runs the MITM:
+	// the rogue's bridge, or the corp router after HijackGateway. Nil while
+	// no MITM runs.
+	Netsed *netsed.Proxy
 }
 
 // TrojanPath is where the attacker's gateway serves the trojan.
@@ -240,7 +242,7 @@ func newWorld(cfg Config) (*World, error) {
 	w.Router.AttachWired(w.CorpSwitch, &w.Alloc, "lan0", RouterCorp, CorpPrefix)
 	w.Router.AttachWired(w.BackboneSwitch, &w.Alloc, "wan0", RouterBackbone, BackbonePrefix)
 	// Return path for VPN tunnel addresses.
-	w.Router.IP.AddRoute(ipv4.Route{Prefix: TunnelPrefix, Gateway: VPNEndpointIP, Iface: "wan0"})
+	w.Router.IP.AddRoute(ipv4.Route{Prefix: vpn.TunnelPrefix, Gateway: VPNEndpointIP, Iface: "wan0"})
 
 	// --- Target web site (the paper's download page). ---
 	w.Web = newHost(w.Kernel, "web")
@@ -259,7 +261,7 @@ func newWorld(cfg Config) (*World, error) {
 		w.VPNHost.IP.Forwarding = true
 		w.VPNHost.AttachWired(w.BackboneSwitch, &w.Alloc, "eth0", VPNEndpointIP, BackbonePrefix)
 		w.VPNHost.IP.AddDefaultRoute(RouterBackbone, "eth0")
-		sCfg := vpn.ServerConfig{PSK: w.vpnPSK(), Carrier: cfg.VPNCarrier, TunnelPrefix: TunnelPrefix}
+		sCfg := vpn.ServerConfig{PSK: w.vpnPSK(), Carrier: cfg.VPNCarrier}
 		var err error
 		switch {
 		case cfg.Overlay:
@@ -410,8 +412,8 @@ func (w *World) newWirelessHost(name string, mac ethernet.MAC, ip inet.Addr, pos
 	return h
 }
 
-// buildRogue assembles the attacker per Section 4 and serves the trojan
-// from the gateway.
+// buildRogue assembles the attacker per Section 4: the bridge, then, unless
+// it is a pure relay, the MITM on the bridge's gateway.
 func (w *World) buildRogue() {
 	cfg := w.Cfg
 	bssid := CorpBSSID
@@ -422,18 +424,7 @@ func (w *World) buildRogue() {
 	if staMAC == (ethernet.MAC{}) {
 		staMAC = RogueSTAMAC
 	}
-	// Slashes inside a netsed rule must be %2f-escaped — the paper's own
-	// command does exactly this ("the %2f is ASCII hex for the / character").
-	trojanURL := "http:%2f%2f" + RogueWlan.String() + strings.ReplaceAll(TrojanPath, "/", "%2f")
-	trojanSite := &httpx.DownloadSite{FileName: "trojan.tgz", Contents: cfg.TrojanContents}
-	rules := []string{
-		// The two rules from the paper's netsed command (Figure 2):
-		// replace the link, then replace the published MD5 sum.
-		"s/href=" + GenuineFile + "/href=" + trojanURL,
-		"s/" + w.Site.MD5Hex() + "/" + trojanSite.MD5Hex(),
-	}
-	rules = append(rules, cfg.ExtraNetsedRules...)
-	kit, err := attack.NewRogueKit(w.Kernel, w.Medium, cfg.RoguePos, attack.RogueKitConfig{
+	w.Rogue = attack.NewRogueKit(w.Kernel, w.Medium, cfg.RoguePos, attack.RogueKitConfig{
 		SSID:           CorpSSID,
 		CloneBSSID:     bssid,
 		Channel:        RogueChannel,
@@ -443,22 +434,55 @@ func (w *World) buildRogue() {
 		EthIP:          RogueEth,
 		Prefix:         CorpPrefix,
 		DefaultGW:      RouterCorp,
-		TargetIP:       WebServerIP,
-		NetsedRules:    rules,
 		PoisonUpstream: true,
-		DisableMITM:    cfg.RoguePureRelay,
 	})
+	if !cfg.RoguePureRelay {
+		w.startMITM(w.Rogue.IP, w.Rogue.TCP, RogueWlan)
+	}
+}
+
+// HijackGateway makes the corp router hostile: the paper's §1.2.2 hotspot,
+// whose operator is the attacker. The router runs the same MITM as the
+// rogue and serves the trojan itself. Nothing changes on the air, so there
+// is no rogue AP to detect. Call it before the victim downloads.
+func (w *World) HijackGateway() {
+	w.startMITM(w.Router.IP, w.Router.TCP, RouterCorp)
+}
+
+// startMITM runs Figure 2's MITM on a gateway whose address on the victim's
+// side is gw, and serves the trojan from that gateway.
+func (w *World) startMITM(ip *ipv4.Stack, t *tcp.Stack, gw inet.Addr) {
+	proxy, err := attack.StartMITM(ip, t, WebServerIP, gw, w.trojanRules(gw))
 	if err != nil {
 		panic(err)
 	}
-	w.Rogue = kit
-	// The gateway also serves the trojaned download itself ("a link to
-	// http://gateway/trojan.tgz").
-	w.RogueWeb = httpx.NewServer(kit.TCP)
-	w.RogueWeb.Handle(TrojanPath, func(req *httpx.Request) *httpx.Response {
-		return httpx.NewResponse(200, "application/octet-stream", cfg.TrojanContents)
+	w.Netsed = proxy
+	w.serveTrojan(t)
+}
+
+// trojanRules are the two rules of the paper's netsed command (Figure 2),
+// aimed at a trojan served from gw: replace the link, then the published
+// MD5 sum. Config.ExtraNetsedRules follow them.
+func (w *World) trojanRules(gw inet.Addr) []string {
+	// Slashes inside a netsed rule must be %2f-escaped — the paper's own
+	// command does exactly this ("the %2f is ASCII hex for the / character").
+	trojanURL := "http:%2f%2f" + gw.String() + strings.ReplaceAll(TrojanPath, "/", "%2f")
+	trojanSite := &httpx.DownloadSite{FileName: "trojan.tgz", Contents: w.Cfg.TrojanContents}
+	rules := []string{
+		"s/href=" + GenuineFile + "/href=" + trojanURL,
+		"s/" + w.Site.MD5Hex() + "/" + trojanSite.MD5Hex(),
+	}
+	return append(rules, w.Cfg.ExtraNetsedRules...)
+}
+
+// serveTrojan serves the trojaned download from the gateway itself ("a
+// link to http://gateway/trojan.tgz").
+func (w *World) serveTrojan(t *tcp.Stack) {
+	srv := httpx.NewServer(t)
+	srv.Handle(TrojanPath, func(req *httpx.Request) *httpx.Response {
+		return httpx.NewResponse(200, "application/octet-stream", w.Cfg.TrojanContents)
 	})
-	if err := w.RogueWeb.Start(80); err != nil {
+	if err := srv.Start(80); err != nil {
 		panic(err)
 	}
 }

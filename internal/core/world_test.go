@@ -100,7 +100,7 @@ func TestE2DownloadMITMCompromisesVictim(t *testing.T) {
 	if !bytes.Equal(res.Body, w.Cfg.TrojanContents) {
 		t.Fatal("victim did not receive the trojan body")
 	}
-	if w.Rogue.Netsed.Connections == 0 {
+	if w.Netsed.Connections == 0 {
 		t.Fatal("netsed proxied no connections")
 	}
 }
@@ -161,7 +161,7 @@ func TestE3VPNDefeatsMITM(t *testing.T) {
 	if !res.Clean() {
 		t.Fatalf("not clean: %+v", res)
 	}
-	if w.Rogue.Netsed != nil && w.Rogue.Netsed.ReplacementsIn > 0 {
+	if w.Netsed != nil && w.Netsed.ReplacementsIn > 0 {
 		t.Fatal("netsed rewrote tunnel traffic?!")
 	}
 }
@@ -268,5 +268,78 @@ func TestMeanAndFraction(t *testing.T) {
 	}
 	if Fraction([]bool{true, false, true, true}) != 0.75 {
 		t.Fatal("fraction")
+	}
+}
+
+func TestHostileHotspotCompromisesVictim(t *testing.T) {
+	// §1.2.2: no rogue hardware, no detection story — the network itself is
+	// the attacker, and the victim's md5 check still passes on the trojan.
+	w := NewWorld(Config{Seed: 1, Checks: true})
+	w.HijackGateway()
+	w.VictimConnect()
+	w.Run(settleTime)
+	var res DownloadResult
+	w.VictimDownload(func(r DownloadResult) { res = r })
+	w.Run(60 * sim.Second)
+	if res.Err != nil {
+		t.Fatalf("download: %v", res.Err)
+	}
+	if !res.Compromised() {
+		t.Fatalf("hostile gateway did not compromise: %+v", res)
+	}
+	if !bytes.Equal(res.Body, w.Cfg.TrojanContents) {
+		t.Fatal("victim did not get the operator's trojan")
+	}
+	if w.Netsed.Connections == 0 {
+		t.Fatal("gateway netsed relayed nothing")
+	}
+}
+
+func TestHostileHotspotDefeatedByVPN(t *testing.T) {
+	// The paper's whole §5 argument: only a tunnel to a *preestablished*
+	// home endpoint survives a gateway whose very operator is hostile.
+	w := NewWorld(Config{Seed: 1, Checks: true, VPNServer: true})
+	w.HijackGateway()
+	w.VictimConnect()
+	w.Run(settleTime)
+	up := false
+	w.EnableVictimVPN(nil, func(err error) {
+		if err != nil {
+			t.Errorf("vpn: %v", err)
+			return
+		}
+		up = true
+	})
+	w.Run(20 * sim.Second)
+	if !up {
+		t.Fatal("tunnel never came up through the hostile gateway")
+	}
+	var res DownloadResult
+	w.VictimDownload(func(r DownloadResult) { res = r })
+	w.Run(60 * sim.Second)
+	if !res.Clean() {
+		t.Fatalf("VPN through hostile gateway not clean: %+v err=%v", res, res.Err)
+	}
+	if w.Netsed.ReplacementsIn > 0 {
+		t.Fatal("operator's netsed modified tunnel traffic")
+	}
+}
+
+func TestHostileHotspotVPNOverUDP(t *testing.T) {
+	w := NewWorld(Config{Seed: 2, Checks: true, VPNServer: true, VPNCarrier: vpn.CarrierUDP})
+	w.HijackGateway()
+	w.VictimConnect()
+	w.Run(settleTime)
+	up := false
+	w.EnableVictimVPN(nil, func(err error) { up = err == nil })
+	w.Run(20 * sim.Second)
+	if !up {
+		t.Fatal("UDP tunnel never came up")
+	}
+	var res DownloadResult
+	w.VictimDownload(func(r DownloadResult) { res = r })
+	w.Run(60 * sim.Second)
+	if !res.Clean() {
+		t.Fatalf("not clean: %+v err=%v", res, res.Err)
 	}
 }

@@ -106,7 +106,7 @@ func TestArpwatchCatchesRoguePoisoning(t *testing.T) {
 	}
 
 	// The attack: rogue kit + deauth forcing.
-	_, err := attack.NewRogueKit(k, m, phy.Position{X: 42, Y: 0}, attack.RogueKitConfig{
+	attack.NewRogueKit(k, m, phy.Position{X: 42, Y: 0}, attack.RogueKitConfig{
 		SSID: "CORP", CloneBSSID: corpBSSID, Channel: 6, WEPKey: key,
 		StationMAC:     ethernet.MustParseMAC("02:00:00:00:66:01"),
 		WlanIP:         inet.MustParseAddr("10.0.0.201"),
@@ -114,11 +114,7 @@ func TestArpwatchCatchesRoguePoisoning(t *testing.T) {
 		Prefix:         prefix,
 		DefaultGW:      routerIP,
 		PoisonUpstream: true,
-		DisableMITM:    true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	k.RunUntil(k.Now() + 5*sim.Second)
 	d := attack.NewDeauther(k, m, phy.Position{X: 41, Y: 0}, 1)
 	d.Flood(victimMAC, corpBSSID, 100*sim.Millisecond)

@@ -61,37 +61,20 @@ func (a Alert) String() string {
 	return fmt.Sprintf("[%v] %v %v: %s", a.At, a.Kind, a.MAC, a.Detail)
 }
 
-// Config tunes the detector suite. Zero values take defaults.
-type Config struct {
-	// SeqJumpThreshold: a backward jump of at least this many sequence
-	// numbers (mod 4096) counts as an anomaly (default 64 — ordinary loss
-	// and retries stay far below it).
-	SeqJumpThreshold uint16
-	// SeqAnomaliesToAlert: alert after this many anomalies from one MAC
-	// (default 3 — one anomaly can be a counter reset after a power
-	// cycle).
-	SeqAnomaliesToAlert int
-	// DeauthWindow and DeauthLimit: more than DeauthLimit deauth or
-	// disassoc frames from one BSSID inside DeauthWindow raises an alert
-	// (defaults 1 s / 5).
-	DeauthWindow sim.Time
-	DeauthLimit  int
-}
-
-func (c *Config) fill() {
-	if c.SeqJumpThreshold == 0 {
-		c.SeqJumpThreshold = 64
-	}
-	if c.SeqAnomaliesToAlert == 0 {
-		c.SeqAnomaliesToAlert = 3
-	}
-	if c.DeauthWindow == 0 {
-		c.DeauthWindow = sim.Second
-	}
-	if c.DeauthLimit == 0 {
-		c.DeauthLimit = 5
-	}
-}
+// Detection thresholds.
+const (
+	// seqJumpThreshold: a backward jump of at least this many sequence
+	// numbers (mod 4096) counts as an anomaly; ordinary loss and retries
+	// stay far below it.
+	seqJumpThreshold = 64
+	// seqAnomaliesToAlert: alert after this many anomalies from one MAC
+	// (one anomaly can be a counter reset after a power cycle).
+	seqAnomaliesToAlert = 3
+	// More than deauthLimit deauth or disassoc frames from one BSSID inside
+	// deauthWindow raises an alert.
+	deauthWindow = sim.Second
+	deauthLimit  = 5
+)
 
 // fingerprint is what a BSSID should look like, learned from its first
 // sighting.
@@ -113,7 +96,6 @@ type seqState struct {
 // Attach, or feed frames directly with Observe.
 type Detector struct {
 	kernel *sim.Kernel
-	cfg    Config
 
 	seq      map[ethernet.MAC]*seqState
 	prints   map[ethernet.MAC]fingerprint
@@ -130,11 +112,9 @@ type Detector struct {
 }
 
 // New creates a detector.
-func New(k *sim.Kernel, cfg Config) *Detector {
-	cfg.fill()
+func New(k *sim.Kernel) *Detector {
 	return &Detector{
 		kernel:   k,
-		cfg:      cfg,
 		seq:      make(map[ethernet.MAC]*seqState),
 		prints:   make(map[ethernet.MAC]fingerprint),
 		deauths:  make(map[ethernet.MAC][]sim.Time),
@@ -193,10 +173,10 @@ func (d *Detector) observeSeq(f dot11.Frame) {
 		// for frames the sensor missed); fwd == 0 is a retransmission. A
 		// second radio sharing the MAC produces large jumps both ways.
 		if fwd != 0 &&
-			(fwd > 0x0fff-uint16(d.cfg.SeqJumpThreshold) || // backward
-				(fwd > uint16(d.cfg.SeqJumpThreshold) && fwd < 0x0800)) { // huge forward
+			(fwd > 0x0fff-seqJumpThreshold || // backward
+				(fwd > seqJumpThreshold && fwd < 0x0800)) { // huge forward
 			st.anomalies++
-			if st.anomalies >= d.cfg.SeqAnomaliesToAlert && !st.alerted {
+			if st.anomalies >= seqAnomaliesToAlert && !st.alerted {
 				st.alerted = true
 				d.raise(Alert{
 					Kind: AlertSeqAnomaly, MAC: m,
@@ -246,7 +226,7 @@ func (d *Detector) observeDeauth(f dot11.Frame) {
 	m := f.Addr2
 	now := d.kernel.Now()
 	times := d.deauths[m]
-	cutoff := now - d.cfg.DeauthWindow
+	cutoff := now - deauthWindow
 	kept := times[:0]
 	for _, t := range times {
 		if t >= cutoff {
@@ -255,11 +235,11 @@ func (d *Detector) observeDeauth(f dot11.Frame) {
 	}
 	kept = append(kept, now)
 	d.deauths[m] = kept
-	if len(kept) > d.cfg.DeauthLimit && !d.deauthAl[m] {
+	if len(kept) > deauthLimit && !d.deauthAl[m] {
 		d.deauthAl[m] = true
 		d.raise(Alert{
 			Kind: AlertDeauthFlood, MAC: m,
-			Detail: fmt.Sprintf("%d deauth/disassoc frames in %v", len(kept), d.cfg.DeauthWindow),
+			Detail: fmt.Sprintf("%d deauth/disassoc frames in %v", len(kept), deauthWindow),
 		})
 	}
 }

@@ -21,7 +21,7 @@ func frame(src ethernet.MAC, seq uint16) dot11.Frame {
 
 func newDetector() (*sim.Kernel, *Detector) {
 	k := sim.NewKernel(1)
-	return k, New(k, Config{})
+	return k, New(k)
 }
 
 func TestHealthySequenceNoAlert(t *testing.T) {
@@ -45,7 +45,7 @@ func TestSequenceWrapIsNotAnomalous(t *testing.T) {
 }
 
 func TestMissedFramesTolerated(t *testing.T) {
-	// A sensor missing up to SeqJumpThreshold frames must not alert.
+	// A sensor missing up to seqJumpThreshold frames must not alert.
 	_, d := newDetector()
 	seq := uint16(0)
 	for i := 0; i < 500; i++ {
@@ -229,7 +229,7 @@ func TestLiveRogueDetection(t *testing.T) {
 
 	monRadio := m.AddRadio(phy.RadioConfig{Name: "sensor", Pos: phy.Position{X: 15, Y: 0}, Channel: 1})
 	mon := dot11.NewMonitor(monRadio)
-	d := New(k, Config{})
+	d := New(k)
 	d.Attach(mon)
 	NewHopper(k, mon, 200*sim.Millisecond)
 
@@ -250,7 +250,7 @@ func TestLiveHealthyNetworkQuiet(t *testing.T) {
 
 	monRadio := m.AddRadio(phy.RadioConfig{Name: "sensor", Pos: phy.Position{X: 5, Y: 0}, Channel: 1})
 	mon := dot11.NewMonitor(monRadio)
-	d := New(k, Config{})
+	d := New(k)
 	d.Attach(mon)
 	NewHopper(k, mon, 200*sim.Millisecond)
 

@@ -2,7 +2,6 @@ package dot11
 
 import (
 	"bytes"
-	"sort"
 
 	"repro/internal/ethernet"
 	"repro/internal/phy"
@@ -16,20 +15,17 @@ type APConfig struct {
 	SSID    string
 	BSSID   ethernet.MAC
 	Channel phy.Channel
-	// BeaconIntervalTU defaults to 100 TU (≈102.4 ms).
-	BeaconIntervalTU uint16
 	// WEPKey, when set, requires WEP on data frames and advertises the
 	// privacy capability. Shared-key authentication is offered too.
 	WEPKey wep.Key
-	// IVSource defaults to a SequentialIV — the Airsnort-friendly choice
-	// early firmware made.
-	IVSource wep.IVSource
 	// MACAllow, when non-nil, is the MAC-filtering ACL: only listed
 	// stations may authenticate (paper §2.1: "keeping honest people
 	// honest").
 	MACAllow []ethernet.MAC
-	Rate     phy.Rate
 }
+
+// beaconIntervalTU is every AP's beacon interval (≈102.4 ms).
+const beaconIntervalTU uint16 = 100
 
 // stationState tracks one client through the 802.11 state machine.
 type stationState struct {
@@ -47,6 +43,7 @@ type AP struct {
 	*entity
 	cfg      APConfig
 	kernel   *sim.Kernel
+	ivs      wep.IVSource
 	stations map[ethernet.MAC]*stationState
 	nextAID  uint16
 	host     *apHostNIC
@@ -82,22 +79,19 @@ type AP struct {
 
 // NewAP creates and starts an access point: it begins beaconing immediately.
 func NewAP(k *sim.Kernel, radio *phy.Radio, cfg APConfig) *AP {
-	if cfg.BeaconIntervalTU == 0 {
-		cfg.BeaconIntervalTU = 100
-	}
-	if cfg.IVSource == nil {
-		cfg.IVSource = &wep.SequentialIV{}
-	}
+	// Sequential IVs, the Airsnort-friendly choice early firmware made.
+	var ivs wep.IVSource = &wep.SequentialIV{}
 	if k.InvariantChecksEnabled() && len(cfg.WEPKey) > 0 {
-		t := wep.NewIVTracker(cfg.IVSource, len(cfg.WEPKey))
-		cfg.IVSource = t
+		t := wep.NewIVTracker(ivs, len(cfg.WEPKey))
+		ivs = t
 		k.RegisterInvariant("wep/iv-policy-ap", t.Check)
 	}
 	radio.SetChannel(cfg.Channel)
 	ap := &AP{
-		entity:   newEntity(k, radio, cfg.Rate, cfg.BSSID),
+		entity:   newEntity(k, radio, cfg.BSSID),
 		cfg:      cfg,
 		kernel:   k,
+		ivs:      ivs,
 		stations: make(map[ethernet.MAC]*stationState),
 		started:  k.Now(),
 	}
@@ -107,9 +101,6 @@ func NewAP(k *sim.Kernel, radio *phy.Radio, cfg APConfig) *AP {
 	ap.scheduleBeacon()
 	return ap
 }
-
-// Config returns the AP's configuration.
-func (ap *AP) Config() APConfig { return ap.cfg }
 
 // Stop silences the AP (no more beacons or responses).
 func (ap *AP) Stop() {
@@ -162,21 +153,6 @@ func (ap *AP) AttachUplink(p *ethernet.Port) {
 	p.SetReceiver(ap.onUplinkFrame)
 }
 
-// AssociatedStations lists currently associated client MACs in ascending
-// address order (deterministic regardless of map iteration).
-func (ap *AP) AssociatedStations() []ethernet.MAC {
-	var out []ethernet.MAC
-	for mac, st := range ap.stations {
-		if st.associated {
-			out = append(out, mac)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return bytes.Compare(out[i][:], out[j][:]) < 0
-	})
-	return out
-}
-
 // IsAssociated reports whether mac is an associated client.
 func (ap *AP) IsAssociated(mac ethernet.MAC) bool {
 	st, ok := ap.stations[mac]
@@ -192,7 +168,7 @@ func (ap *AP) capability() uint16 {
 }
 
 func (ap *AP) scheduleBeacon() {
-	ap.beacon = ap.kernel.After(sim.Time(ap.cfg.BeaconIntervalTU)*TU, ap.beaconFn)
+	ap.beacon = ap.kernel.After(sim.Time(beaconIntervalTU)*TU, ap.beaconFn)
 }
 
 // beaconTick is the beacon timer: send, then schedule the next.
@@ -219,7 +195,7 @@ func (ap *AP) sendBeacon() {
 func (ap *AP) transmitBeaconBody(sub Subtype, dst ethernet.MAC) {
 	body := BeaconBody{
 		Timestamp:      uint64((ap.kernel.Now() - ap.started) / sim.Microsecond),
-		BeaconInterval: ap.cfg.BeaconIntervalTU,
+		BeaconInterval: beaconIntervalTU,
 		Capability:     ap.capability(),
 		SSID:           ap.cfg.SSID,
 		Channel:        byte(ap.cfg.Channel),
@@ -539,7 +515,7 @@ func (ap *AP) sendToAirBuf(src, dst ethernet.MAC, t ethernet.EtherType, pb *pkt.
 	putLLC(pb.Push(LLCLen), t)
 	protected := false
 	if ap.cfg.WEPKey != nil {
-		wep.SealInPlace(ap.cfg.WEPKey, ap.cfg.IVSource.NextIV(), 0, pb)
+		wep.SealInPlace(ap.cfg.WEPKey, ap.ivs.NextIV(), 0, pb)
 		protected = true
 	}
 	ap.transmitBuf(Frame{

@@ -74,7 +74,7 @@ func TestDeauthDoesNotLivelock(t *testing.T) {
 	}
 
 	// Forge deauths from the AP's BSSID every 50 ms for 20 s.
-	inj := NewInjector(w.k, w.m.AddRadio(phy.RadioConfig{Name: "attacker", Pos: phy.Position{X: 5}, Channel: 1}), 0)
+	inj := NewInjector(w.k, w.m.AddRadio(phy.RadioConfig{Name: "attacker", Pos: phy.Position{X: 5}, Channel: 1}))
 	deauths := 0
 	var tick func()
 	tick = func() {

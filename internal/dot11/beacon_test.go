@@ -23,7 +23,7 @@ func TestBeaconSendAllocFree(t *testing.T) {
 	if w.st.State() != StateAssociated {
 		t.Fatalf("state = %v, want associated", w.st.State())
 	}
-	interval := sim.Time(w.ap.cfg.BeaconIntervalTU) * TU
+	interval := sim.Time(beaconIntervalTU) * TU
 	w.k.RunFor(10 * interval) // warm the wheel, freelists and buffer pool
 	before := w.ap.Beacons
 	const runs = 20

@@ -200,7 +200,7 @@ func TestUnencryptedFrameDroppedByWEPAP(t *testing.T) {
 	w.st.Connect()
 	w.settle()
 	// Bypass the STA's WEP by injecting a cleartext data frame.
-	inj := NewInjector(w.k, w.m.AddRadio(phy.RadioConfig{Name: "inj", Pos: phy.Position{X: 1, Y: 0}, Channel: 1}), 0)
+	inj := NewInjector(w.k, w.m.AddRadio(phy.RadioConfig{Name: "inj", Pos: phy.Position{X: 1, Y: 0}, Channel: 1}))
 	got := false
 	w.ap.HostNIC().SetReceiver(func(f ethernet.Frame) { got = true })
 	inj.Inject(Frame{
@@ -244,7 +244,7 @@ func TestSpoofedDeauthAccepted(t *testing.T) {
 	w := newWorld(t, APConfig{}, STAConfig{DisableReconnect: true})
 	w.st.Connect()
 	w.settle()
-	inj := NewInjector(w.k, w.m.AddRadio(phy.RadioConfig{Name: "attacker", Pos: phy.Position{X: 20, Y: 0}, Channel: 1}), 0)
+	inj := NewInjector(w.k, w.m.AddRadio(phy.RadioConfig{Name: "attacker", Pos: phy.Position{X: 20, Y: 0}, Channel: 1}))
 	inj.Inject(Frame{
 		Type: TypeManagement, Subtype: SubtypeDeauth,
 		Addr1: macSTA, Addr2: macAP, Addr3: macAP, // forged source = real AP
@@ -425,7 +425,7 @@ func time500ms() sim.Time { return 500 * sim.Millisecond }
 func TestClass3FrameTriggersDeauth(t *testing.T) {
 	w := newWorld(t, APConfig{}, STAConfig{})
 	// Send data before associating.
-	inj := NewInjector(w.k, w.m.AddRadio(phy.RadioConfig{Name: "inj", Pos: phy.Position{X: 1, Y: 0}, Channel: 1}), 0)
+	inj := NewInjector(w.k, w.m.AddRadio(phy.RadioConfig{Name: "inj", Pos: phy.Position{X: 1, Y: 0}, Channel: 1}))
 	inj.Inject(Frame{
 		Type: TypeData, ToDS: true,
 		Addr1: macAP, Addr2: ethernet.MustParseMAC("02:00:00:00:00:77"), Addr3: macAP,

@@ -11,6 +11,9 @@ import (
 // TU is the 802.11 time unit (1024 µs) used for beacon intervals.
 const TU = 1024 * sim.Microsecond
 
+// dataRate is the bit rate every AP, station and injector transmits at.
+const dataRate = phy.Rate11Mbps
+
 // DCF/MAC parameters (simplified but shaped like the standard).
 const (
 	sifs       = 10 * sim.Microsecond
@@ -40,7 +43,6 @@ type entity struct {
 	kernel *sim.Kernel
 	radio  *phy.Radio
 	rng    *sim.RNG
-	rate   phy.Rate
 	addr   ethernet.MAC // own MAC; zero for raw injectors (no ACK behaviour)
 	seq    uint16
 
@@ -73,12 +75,9 @@ type entity struct {
 	DupsDropped uint64
 }
 
-func newEntity(k *sim.Kernel, radio *phy.Radio, rate phy.Rate, addr ethernet.MAC) *entity {
-	if rate == 0 {
-		rate = phy.Rate11Mbps
-	}
+func newEntity(k *sim.Kernel, radio *phy.Radio, addr ethernet.MAC) *entity {
 	e := &entity{
-		kernel: k, radio: radio, rng: k.RNG().Fork(), rate: rate, addr: addr,
+		kernel: k, radio: radio, rng: k.RNG().Fork(), addr: addr,
 		lastRx: make(map[ethernet.MAC]uint16),
 	}
 	e.attemptSendFn = e.attemptSend
@@ -180,7 +179,7 @@ func (e *entity) attemptSend() {
 		e.kernel.After(backoff, e.attemptSendFn)
 		return
 	}
-	end := e.radio.SendBuf(job.pb.Retain(), e.rate)
+	end := e.radio.SendBuf(job.pb.Retain(), dataRate)
 	// Contention gap before our next transmission, so other stations can
 	// win the channel between our frames.
 	e.nextTxAt = end + difs + sim.Time(e.rng.Intn(8))*slotTime
@@ -193,7 +192,7 @@ func (e *entity) attemptSend() {
 		return
 	}
 	// Await the link-layer ACK.
-	timeout := end + sifs + phy.Airtime(ackFrameLen, e.rate) + 3*slotTime
+	timeout := end + sifs + phy.Airtime(ackFrameLen, dataRate) + 3*slotTime
 	e.ackTimer = e.kernel.At(timeout, func() { e.onAckTimeout(job) })
 }
 
@@ -248,7 +247,7 @@ func (e *entity) sendAck(dst ethernet.MAC) {
 	ack := Frame{Type: TypeControl, Subtype: SubtypeAck, Addr1: dst}
 	pb := e.kernel.BufPool().Get()
 	ack.putHeader(pb.Extend(ackFrameLen))
-	e.kernel.After(sifs, func() { e.radio.SendBuf(pb, e.rate) })
+	e.kernel.After(sifs, func() { e.radio.SendBuf(pb, dataRate) })
 }
 
 // onRadioFrame is the shared receive path: ACK handling, ACK generation,

@@ -73,7 +73,7 @@ func TestMACDupFilterSuppressesRetryCopies(t *testing.T) {
 	got := 0
 	w.ap.HostNIC().SetReceiver(func(f ethernet.Frame) { got++ })
 
-	inj := NewInjector(w.k, w.m.AddRadio(phy.RadioConfig{Name: "inj", Pos: phy.Position{X: 1, Y: 0}, Channel: 1}), 0)
+	inj := NewInjector(w.k, w.m.AddRadio(phy.RadioConfig{Name: "inj", Pos: phy.Position{X: 1, Y: 0}, Channel: 1}))
 	f := Frame{
 		Type: TypeData, ToDS: true,
 		Addr1: macAP, Addr2: macSTA, Addr3: macAP,
@@ -106,7 +106,7 @@ func TestInjectorNeverWaitsForAcks(t *testing.T) {
 	// an absent receiver without stalling its queue.
 	k := sim.NewKernel(1)
 	m := phy.NewMedium(k, phy.Config{})
-	inj := NewInjector(k, m.AddRadio(phy.RadioConfig{Name: "inj", Channel: 1}), 0)
+	inj := NewInjector(k, m.AddRadio(phy.RadioConfig{Name: "inj", Channel: 1}))
 	for i := 0; i < 50; i++ {
 		inj.Inject(Frame{
 			Type: TypeManagement, Subtype: SubtypeDeauth,

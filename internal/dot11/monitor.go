@@ -54,8 +54,8 @@ type Injector struct {
 
 // NewInjector wraps a radio for raw frame injection. Injectors have no MAC
 // identity: they never wait for link-layer ACKs (fire-and-forget spoofing).
-func NewInjector(k *sim.Kernel, radio *phy.Radio, rate phy.Rate) *Injector {
-	return &Injector{entity: newEntity(k, radio, rate, ethernet.MAC{})}
+func NewInjector(k *sim.Kernel, radio *phy.Radio) *Injector {
+	return &Injector{entity: newEntity(k, radio, ethernet.MAC{})}
 }
 
 // Inject transmits a frame, assigning the injector's own sequence number.

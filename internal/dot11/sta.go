@@ -71,7 +71,6 @@ type STAConfig struct {
 	// WEPKey enables WEP on data frames (and shared-key auth if
 	// SharedKeyAuth is set).
 	WEPKey        wep.Key
-	IVSource      wep.IVSource
 	SharedKeyAuth bool
 	JoinPolicy    JoinPolicy
 	// PinnedBSSID is required by JoinPinnedBSSID.
@@ -80,12 +79,6 @@ type STAConfig struct {
 	// attacker's client card uses it to avoid associating to its own
 	// rogue AP (which advertises the same SSID and cloned BSSID).
 	ExcludeBSS func(BSS) bool
-	// ScanDwellTU is the per-channel listen time (default 120 TU, just
-	// over a beacon interval).
-	ScanDwellTU uint16
-	// BeaconLossTimeout: disconnect after this long without a beacon
-	// (default 1 s).
-	BeaconLossTimeout sim.Time
 	// AutoReconnect rescans after any disconnect (default true via
 	// NewSTA; set DisableReconnect to turn off).
 	DisableReconnect bool
@@ -97,8 +90,15 @@ type STAConfig struct {
 	// this a deauth storm livelocks the client in a tight scan loop.
 	ReconnectBackoffBase sim.Time
 	ReconnectBackoffMax  sim.Time
-	Rate                 phy.Rate
 }
+
+// Scan and link-loss timing: a scan listens scanDwellTU on each channel,
+// just over a beacon interval, and an associated station disconnects after
+// beaconLossTimeout without a beacon.
+const (
+	scanDwellTU       uint16 = 120
+	beaconLossTimeout        = sim.Second
+)
 
 // STA is a client station. After Connect it scans, authenticates, associates
 // and then exposes an ethernet.NIC for the host's IP stack.
@@ -106,6 +106,7 @@ type STA struct {
 	*entity
 	cfg    STAConfig
 	kernel *sim.Kernel
+	ivs    wep.IVSource
 	state  STAState
 	bss    BSS
 	nic    *staNIC
@@ -139,30 +140,24 @@ type STA struct {
 
 // NewSTA creates a station (idle; call Connect to join a network).
 func NewSTA(k *sim.Kernel, radio *phy.Radio, cfg STAConfig) *STA {
-	if cfg.ScanDwellTU == 0 {
-		cfg.ScanDwellTU = 120
-	}
-	if cfg.BeaconLossTimeout == 0 {
-		cfg.BeaconLossTimeout = sim.Second
-	}
 	if cfg.ReconnectBackoffBase == 0 {
 		cfg.ReconnectBackoffBase = 250 * sim.Millisecond
 	}
 	if cfg.ReconnectBackoffMax == 0 {
 		cfg.ReconnectBackoffMax = 8 * sim.Second
 	}
-	if cfg.IVSource == nil {
-		cfg.IVSource = &wep.SequentialIV{}
-	}
+	// Sequential IVs, as the AP draws them.
+	var ivs wep.IVSource = &wep.SequentialIV{}
 	if k.InvariantChecksEnabled() && len(cfg.WEPKey) > 0 {
-		t := wep.NewIVTracker(cfg.IVSource, len(cfg.WEPKey))
-		cfg.IVSource = t
+		t := wep.NewIVTracker(ivs, len(cfg.WEPKey))
+		ivs = t
 		k.RegisterInvariant("wep/iv-policy-sta", t.Check)
 	}
 	s := &STA{
-		entity: newEntity(k, radio, cfg.Rate, cfg.MAC),
+		entity: newEntity(k, radio, cfg.MAC),
 		cfg:    cfg,
 		kernel: k,
+		ivs:    ivs,
 	}
 	s.nic = &staNIC{sta: s}
 	s.entity.handler = s.onFrame
@@ -263,7 +258,7 @@ func (s *STA) scanStep() {
 		Addr1: ethernet.BroadcastMAC, Addr2: s.cfg.MAC, Addr3: ethernet.BroadcastMAC,
 		Body: probe.Marshal(),
 	})
-	s.stepTimeout = s.kernel.After(sim.Time(s.cfg.ScanDwellTU)*TU, func() {
+	s.stepTimeout = s.kernel.After(sim.Time(scanDwellTU)*TU, func() {
 		s.scanChan++
 		s.scanStep()
 	})
@@ -430,7 +425,7 @@ func (s *STA) onAuth(f Frame) {
 	case body.Algorithm == AuthSharedKey && body.Seq == 2:
 		// Seal the challenge response with WEP (message 3).
 		resp := AuthBody{Algorithm: AuthSharedKey, Seq: 3, Status: StatusSuccess, Challenge: body.Challenge}
-		sealed := sealBody(s.cfg.WEPKey, s.cfg.IVSource, resp.Marshal())
+		sealed := sealBody(s.cfg.WEPKey, s.ivs, resp.Marshal())
 		s.transmit(Frame{
 			Type: TypeManagement, Subtype: SubtypeAuth, Protected: true,
 			Addr1: s.bss.BSSID, Addr2: s.cfg.MAC, Addr3: s.bss.BSSID,
@@ -484,13 +479,13 @@ func (s *STA) armBeaconCheck() {
 	s.beaconCheck = s.kernel.After(interval, s.checkBeaconFn)
 }
 
-// checkBeacon is the beacon-loss timer: disconnect after BeaconLossTimeout
+// checkBeacon is the beacon-loss timer: disconnect after beaconLossTimeout
 // without a beacon from the joined AP, else check again next interval.
 func (s *STA) checkBeacon() {
 	if s.state != StateAssociated {
 		return
 	}
-	if s.kernel.Now()-s.lastBeacon > s.cfg.BeaconLossTimeout {
+	if s.kernel.Now()-s.lastBeacon > beaconLossTimeout {
 		s.disconnect("beacon loss")
 		return
 	}
@@ -554,7 +549,7 @@ func (s *STA) sendDataBuf(dst ethernet.MAC, t ethernet.EtherType, pb *pkt.Buf) {
 	putLLC(pb.Push(LLCLen), t)
 	protected := false
 	if s.cfg.WEPKey != nil {
-		wep.SealInPlace(s.cfg.WEPKey, s.cfg.IVSource.NextIV(), 0, pb)
+		wep.SealInPlace(s.cfg.WEPKey, s.ivs.NextIV(), 0, pb)
 		protected = true
 	}
 	s.transmitBuf(Frame{

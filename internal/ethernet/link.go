@@ -12,11 +12,9 @@ import (
 type Port struct {
 	kernel *sim.Kernel
 	mac    MAC
-	mtu    int
 	peer   *Port // other end of the cable
-	// Cable characteristics (shared by both directions).
+	// bitsPerSec is the cable's rate, shared by both directions.
 	bitsPerSec float64
-	propDelay  sim.Time
 	// busyUntil serialises transmissions in this direction.
 	busyUntil sim.Time
 	// wire holds the frames in flight to the peer in send order, the next
@@ -65,31 +63,25 @@ func (p *Port) SetFaults(fp *FaultProfile) { p.faults = fp }
 // installers use it to cover both directions of a link.
 func (p *Port) Peer() *Port { return p.peer }
 
-// PortConfig configures one cable. Zero values get sensible defaults
-// (100 Mb/s, 1 µs propagation).
+// PortConfig configures one cable. A zero BitsPerSec means 100 Mb/s.
 type PortConfig struct {
 	BitsPerSec float64
-	PropDelay  sim.Time
-	MTU        int
 }
 
 func (c *PortConfig) fill() {
 	if c.BitsPerSec == 0 {
 		c.BitsPerSec = 100e6
 	}
-	if c.PropDelay == 0 {
-		c.PropDelay = sim.Microsecond
-	}
-	if c.MTU == 0 {
-		c.MTU = DefaultMTU
-	}
 }
+
+// propDelay is every cable's propagation delay.
+const propDelay = sim.Microsecond
 
 // NewCable creates two connected ports (a point-to-point full-duplex cable).
 func NewCable(k *sim.Kernel, macA, macB MAC, cfg PortConfig) (*Port, *Port) {
 	cfg.fill()
-	a := &Port{kernel: k, mac: macA, mtu: cfg.MTU, bitsPerSec: cfg.BitsPerSec, propDelay: cfg.PropDelay}
-	b := &Port{kernel: k, mac: macB, mtu: cfg.MTU, bitsPerSec: cfg.BitsPerSec, propDelay: cfg.PropDelay}
+	a := &Port{kernel: k, mac: macA, bitsPerSec: cfg.BitsPerSec}
+	b := &Port{kernel: k, mac: macB, bitsPerSec: cfg.BitsPerSec}
 	a.peer, b.peer = b, a
 	a.arriveFn, b.arriveFn = a.arrive, b.arrive
 	return a, b
@@ -99,7 +91,7 @@ func NewCable(k *sim.Kernel, macA, macB MAC, cfg PortConfig) (*Port, *Port) {
 func (p *Port) HWAddr() MAC { return p.mac }
 
 // MTU implements NIC.
-func (p *Port) MTU() int { return p.mtu }
+func (p *Port) MTU() int { return DefaultMTU }
 
 // SetReceiver implements NIC.
 func (p *Port) SetReceiver(r Receiver) { p.recv = r }
@@ -139,7 +131,7 @@ func (p *Port) xmit(f Frame, pb *pkt.Buf) {
 		pb.Release()
 		return // unplugged
 	}
-	if len(f.Payload) > p.mtu {
+	if len(f.Payload) > DefaultMTU {
 		pb.Release()
 		return
 	}
@@ -183,7 +175,7 @@ func (p *Port) transmit(f Frame, pb *pkt.Buf) {
 		p.wire, p.head = p.wire[:n], 0
 	}
 	p.wire = append(p.wire, inFlight{f, pb})
-	p.kernel.At(end+p.propDelay, p.arriveFn)
+	p.kernel.At(end+propDelay, p.arriveFn)
 }
 
 // arrive pops the oldest frame in flight and delivers it to the peer. The

@@ -63,9 +63,6 @@ func (s *Switch) Attach(hostMAC MAC) *Port {
 	return hostPort
 }
 
-// Ports reports how many cables are attached.
-func (s *Switch) Ports() int { return len(s.ports) }
-
 func (s *Switch) onFrame(in int, f Frame) {
 	now := s.kernel.Now()
 	// Learn the source, unless it is multicast (invalid as a source).

@@ -41,22 +41,23 @@ func E2dHostileHotspot(s Scale) Table {
 		}
 	}
 	results := core.Sweep(points, func(p point) core.DownloadResult {
-		h := core.NewHotspot(core.HotspotConfig{
-			Seed: p.seed, Hostile: p.sc.hostile, VPNServer: p.sc.vpn,
-		})
-		h.VictimConnect()
-		h.Run(10 * sim.Second)
+		w := core.NewWorld(core.Config{Seed: p.seed, VPNServer: p.sc.vpn})
+		if p.sc.hostile {
+			w.HijackGateway()
+		}
+		w.VictimConnect()
+		w.Run(10 * sim.Second)
 		if p.sc.vpn {
 			up := false
-			h.EnableVictimVPN(func(err error) { up = err == nil })
-			h.Run(20 * sim.Second)
+			w.EnableVictimVPN(nil, func(err error) { up = err == nil })
+			w.Run(20 * sim.Second)
 			if !up {
 				return core.DownloadResult{Err: errNoTunnel}
 			}
 		}
 		var res core.DownloadResult
-		h.VictimDownload(func(r core.DownloadResult) { res = r })
-		h.Run(60 * sim.Second)
+		w.VictimDownload(func(r core.DownloadResult) { res = r })
+		w.Run(60 * sim.Second)
 		return res
 	})
 	for i, sc := range scenarios {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/detect"
 	"repro/internal/dot11"
 	"repro/internal/ethernet"
-	"repro/internal/httpx"
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/vpn"
@@ -109,7 +108,7 @@ func E7Detection(s Scale) Table {
 		w := core.NewWorld(cfg)
 		monRadio := w.Medium.AddRadio(phy.RadioConfig{Name: "sensor", Pos: phyPos(20), Channel: 1})
 		mon := dot11.NewMonitor(monRadio)
-		d := detect.New(w.Kernel, detect.Config{})
+		d := detect.New(w.Kernel)
 		d.Attach(mon)
 		detect.NewHopper(w.Kernel, mon, 200*sim.Millisecond)
 		start := w.Kernel.Now()
@@ -354,9 +353,6 @@ func E9Overhead(s Scale) Table {
 	}
 	return t
 }
-
-// DownloadPageBytes is exported for cmd/roguesim's report.
-func DownloadPageBytes(site *httpx.DownloadSite) int { return len(site.PageHTML()) }
 
 // All runs every experiment at the given scale.
 func All(s Scale) []Table {

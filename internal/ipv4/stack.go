@@ -138,7 +138,7 @@ func (s *Stack) AddIface(name string, nic ethernet.NIC, addr inet.Addr, prefix i
 		NIC:    nic,
 		Addr:   addr,
 		Prefix: prefix,
-		ARP:    arp.NewClient(s.kernel, nic, addr, arp.Config{}),
+		ARP:    arp.NewClient(s.kernel, nic, addr),
 		stack:  s,
 	}
 	s.ifaces = append(s.ifaces, ifc)
@@ -156,9 +156,6 @@ func (s *Stack) Iface(name string) *Iface {
 	}
 	return nil
 }
-
-// Ifaces lists the attached interfaces.
-func (s *Stack) Ifaces() []*Iface { return s.ifaces }
 
 // AddRoute installs a route. Routes are matched longest-prefix-first, then
 // by metric.

@@ -5,10 +5,10 @@ import "math"
 // The capture test in the ratio domain (DESIGN.md §13.2). A frame from tx
 // received at rx survives an overlapping transmission o only if
 //
-//	rssi - op >= CaptureThresholdDB
+//	rssi - op >= captureThresholdDB
 //
 // with rssi = P_tx - PL(d_tx) - rej and op = P_o - PL(d_o) - orej, where
-// PL(d) = ReferenceLossDB + 10·n·log10(max(d, 1)). In real arithmetic the
+// PL(d) = referenceLossDB + 10·n·log10(max(d, 1)). In real arithmetic the
 // reference loss cancels and the interference condition rssi - op < C is
 //
 //	d_o² < d_tx² · 10^(K/(5n)),   K = C + P_o - P_tx + rej - orej,
@@ -69,7 +69,7 @@ func (c *captureScratch) reset(n int) {
 func (c *captureScratch) factor(m *Medium, tx, o *transmission, i int, ch Channel, orej float64) float64 {
 	slot := &c.fac[i*captureSlots+int(ch)]
 	if *slot == 0 {
-		k := m.cfg.CaptureThresholdDB + o.powerDBm - tx.powerDBm +
+		k := captureThresholdDB + o.powerDBm - tx.powerDBm +
 			channelRejectionDB(tx.channel, ch) - orej
 		*slot = math.Pow(10, k/(5*m.cfg.PathLossExponent))
 	}
@@ -95,7 +95,7 @@ func (m *Medium) belowDecodeFloor(tx *transmission, rx *Radio, rej, d2 float64) 
 	if d := d2 - r2; math.Abs(d) > ratioGuard*r2 {
 		return d > 0
 	}
-	snr := m.rssiAt(tx, rx, rej) - m.cfg.NoiseFloorDBm
+	snr := m.rssiAt(tx, rx, rej) - noiseFloorDBm
 	return snr+rej < decodeFloorSNRDB
 }
 
@@ -141,5 +141,5 @@ func (m *Medium) overlapCollidesDB(tx *transmission, rx *Radio, rssi float64) bo
 // a frame received at rssi.
 func (m *Medium) collidesDB(o *transmission, rx *Radio, rssi, orej float64) bool {
 	op := o.powerDBm - m.pathLossDB(o.src.pos, rx.pos) - orej
-	return rssi-op < m.cfg.CaptureThresholdDB
+	return rssi-op < captureThresholdDB
 }

@@ -17,7 +17,7 @@ func refOverlapCollides(m *Medium, overlaps []*transmission, rx *Radio, rssi flo
 			continue
 		}
 		op := o.powerDBm - m.pathLossDB(o.src.pos, rx.pos) - orej
-		if rssi-op < m.cfg.CaptureThresholdDB {
+		if rssi-op < captureThresholdDB {
 			return true
 		}
 	}

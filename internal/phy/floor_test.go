@@ -12,7 +12,7 @@ import (
 // SNR, and the pre-rejection cut.
 func refBelowFloor(m *Medium, tx *transmission, rx *Radio, rej float64) bool {
 	rssi := m.rxPowerDBm(tx.powerDBm, tx.src.pos, rx.pos) - rej
-	snr := rssi - m.cfg.NoiseFloorDBm
+	snr := rssi - noiseFloorDBm
 	return snr+rej < decodeFloorSNRDB
 }
 

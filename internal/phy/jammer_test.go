@@ -68,7 +68,7 @@ func TestJammerEnergyIsShardLocal(t *testing.T) {
 	// 5 apart are orthogonal, so that shard is outside its neighborhood —
 	// while the same blaster moved to channel 6 registers loudly.
 	k, m := newTestMedium(1)
-	noise := m.cfg.NoiseFloorDBm
+	noise := noiseFloorDBm
 	jamRadio := m.AddRadio(RadioConfig{Name: "jam", Pos: Position{0, 0}, Channel: 6})
 	j := NewJammer(k, jamRadio, 700, Rate1Mbps)
 	// A continuous channel-11 blaster right next to the jammer: different
@@ -99,7 +99,7 @@ func TestJammerEnergyIsShardLocal(t *testing.T) {
 	sendNext2()
 	k2.RunFor(2 * sim.Second)
 	j2.Stop()
-	if got := j2.ObservedEnergyDBm(); got <= m2.cfg.CarrierSenseDBm {
+	if got := j2.ObservedEnergyDBm(); got <= carrierSenseDBm {
 		t.Fatalf("co-channel jammer observed only %v dBm, want above carrier-sense threshold", got)
 	}
 }

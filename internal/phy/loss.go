@@ -109,9 +109,8 @@ func (m *Medium) frameSurvives(snr float64, size int, rate Rate) bool {
 // channel rejection. It computes rssi (a Hypot and a Log10) only for a frame
 // that survives or a decision that needs the exact SNR, and returns it.
 func (m *Medium) survivesAt(tx *transmission, rx *Radio, rej, d2 float64) (rssi float64, ok bool) {
-	c := &m.cfg
-	k := 1.2 * (tx.powerDBm - c.ReferenceLossDB - rej - c.NoiseFloorDBm - tx.rate.requiredSNR())
-	slope := yPerLog2D2 * c.PathLossExponent
+	k := 1.2 * (tx.powerDBm - referenceLossDB - rej - noiseFloorDBm - tx.rate.requiredSNR())
+	slope := yPerLog2D2 * m.cfg.PathLossExponent
 	alo, ahi := log2Bounds(d2)
 	blocks := float64(len(tx.data))/256 + 1
 	ok, path, u := m.lossDraw(k-slope*ahi, k-slope*alo, blocks)
@@ -120,7 +119,7 @@ func (m *Medium) survivesAt(tx *transmission, rx *Radio, rej, d2 float64) (rssi 
 	}
 	rssi = m.rssiAt(tx, rx, rej)
 	if path >= lossBand {
-		ok = m.lossExact(path, u, rssi-c.NoiseFloorDBm, blocks, tx.rate)
+		ok = m.lossExact(path, u, rssi-noiseFloorDBm, blocks, tx.rate)
 	}
 	return rssi, ok
 }

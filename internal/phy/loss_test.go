@@ -90,7 +90,7 @@ func decisionMatchesRef(t *testing.T, c decisionCase) lossPath {
 			gotRSSI, got = m.survivesAt(tx, rx, c.rej, dist2(src.pos, rx.pos))
 		} else {
 			wantRSSI = m.rssiAt(tx, rx, c.rej)
-			want = refFrameSurvives(m, wantRSSI-m.cfg.NoiseFloorDBm, c.size, c.rate)
+			want = refFrameSurvives(m, wantRSSI-noiseFloorDBm, c.size, c.rate)
 		}
 		ms[i] = m
 	}

@@ -89,37 +89,28 @@ func (p Position) DistanceTo(q Position) float64 {
 type Config struct {
 	// PathLossExponent: 2 free space, ~3 indoor office (default 3).
 	PathLossExponent float64
-	// ReferenceLossDB is the loss at 1 m (default 40 dB, ~2.4 GHz).
-	ReferenceLossDB float64
-	// NoiseFloorDBm (default -95).
-	NoiseFloorDBm float64
 	// ShadowingSigmaDB adds per-frame lognormal shadowing (default 0:
 	// deterministic propagation; experiments that want fading set it).
 	ShadowingSigmaDB float64
-	// CaptureThresholdDB: a frame survives an overlap if it is this much
-	// stronger than the interferer (default 10 dB).
-	CaptureThresholdDB float64
-	// CarrierSenseDBm: energy above this is "channel busy" (default -85).
-	CarrierSenseDBm float64
 }
 
 func (c *Config) fill() {
 	if c.PathLossExponent == 0 {
 		c.PathLossExponent = 3
 	}
-	if c.ReferenceLossDB == 0 {
-		c.ReferenceLossDB = 40
-	}
-	if c.NoiseFloorDBm == 0 {
-		c.NoiseFloorDBm = -95
-	}
-	if c.CaptureThresholdDB == 0 {
-		c.CaptureThresholdDB = 10
-	}
-	if c.CarrierSenseDBm == 0 {
-		c.CarrierSenseDBm = -85
-	}
 }
+
+// The radio environment every medium shares.
+const (
+	// referenceLossDB is the path loss at 1 m (~2.4 GHz).
+	referenceLossDB float64 = 40
+	noiseFloorDBm   float64 = -95
+	// captureThresholdDB: a frame survives an overlap if it is this much
+	// stronger than the interferer.
+	captureThresholdDB float64 = 10
+	// carrierSenseDBm: energy above this is "channel busy".
+	carrierSenseDBm float64 = -85
+)
 
 // BurstLoss is a two-state Gilbert–Elliott channel-condition model: the
 // medium is either Good or Bad, hopping between the states once per
@@ -271,7 +262,7 @@ func (m *Medium) pathLossDB(a, b Position) float64 {
 	if d < 1 {
 		d = 1
 	}
-	return m.cfg.ReferenceLossDB + 10*m.cfg.PathLossExponent*math.Log10(d)
+	return referenceLossDB + 10*m.cfg.PathLossExponent*math.Log10(d)
 }
 
 // rxPowerDBm is the received power at rx for a transmission from tx.
@@ -443,7 +434,7 @@ func (r *Radio) CarrierBusy() bool {
 	if r.down {
 		return false
 	}
-	return r.EnergyDBm() >= r.medium.cfg.CarrierSenseDBm
+	return r.EnergyDBm() >= carrierSenseDBm
 }
 
 // SendBuf transmits the packet buffer's view at the given rate on the
@@ -609,14 +600,14 @@ func (m *Medium) complete(tx *transmission) {
 				m.Collisions++
 				continue
 			}
-			survives = m.frameSurvives(rssi-m.cfg.NoiseFloorDBm, len(tx.data), rate)
+			survives = m.frameSurvives(rssi-noiseFloorDBm, len(tx.data), rate)
 		}
 		if !survives {
 			rx.RxBelowSNR++
 			m.SNRDrops++
 			continue
 		}
-		snr := rssi - m.cfg.NoiseFloorDBm
+		snr := rssi - noiseFloorDBm
 		rx.RxFrames++
 		m.Deliveries++
 		m.kernel.MixDigest(rx.digestLabel, tx.data)
@@ -646,7 +637,7 @@ func (m *Medium) retire(tx *transmission) {
 // SNRAt reports the SNR a receiver at pos would see from a transmitter —
 // used by topology builders to sanity-check placements.
 func (m *Medium) SNRAt(txPower float64, txPos, rxPos Position) float64 {
-	return txPower - m.pathLossDB(txPos, rxPos) - m.cfg.NoiseFloorDBm
+	return txPower - m.pathLossDB(txPos, rxPos) - noiseFloorDBm
 }
 
 // SNRAtDistance reports the deterministic (no-shadowing) SNR d metres from a
@@ -658,7 +649,7 @@ func (c Config) SNRAtDistance(txPower, d float64) float64 {
 	if d < 1 {
 		d = 1
 	}
-	return txPower - (c.ReferenceLossDB + 10*c.PathLossExponent*math.Log10(d)) - c.NoiseFloorDBm
+	return txPower - (referenceLossDB + 10*c.PathLossExponent*math.Log10(d)) - noiseFloorDBm
 }
 
 // DefaultTxPowerDBm is the transmit power AddRadio assigns when RadioConfig

@@ -83,7 +83,7 @@ func channelNeighborhood(c Channel) (lo, hi Channel) {
 // for the frame. AddRadio caches it per radio, so the delivery path never
 // pays its Pow.
 func (m *Medium) decodeReach(powerDBm float64) float64 {
-	exp := (powerDBm - m.cfg.ReferenceLossDB - m.cfg.NoiseFloorDBm - decodeFloorSNRDB) /
+	exp := (powerDBm - referenceLossDB - noiseFloorDBm - decodeFloorSNRDB) /
 		(10 * m.cfg.PathLossExponent)
 	return math.Pow(10, exp)
 }
@@ -217,7 +217,7 @@ func (m *Medium) gatherCandidates(tx *transmission) []*Radio {
 // needs no receiver and consumes no RNG.
 func (r *Radio) EnergyDBm() float64 {
 	m := r.medium
-	e := m.cfg.NoiseFloorDBm
+	e := noiseFloorDBm
 	if r.down {
 		return e
 	}

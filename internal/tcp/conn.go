@@ -130,9 +130,6 @@ type Conn struct {
 // State reports the connection state.
 func (c *Conn) State() State { return c.state }
 
-// LocalAddr reports the local endpoint.
-func (c *Conn) LocalAddr() inet.HostPort { return c.local }
-
 // RemoteAddr reports the remote endpoint.
 func (c *Conn) RemoteAddr() inet.HostPort { return c.remote }
 

@@ -21,8 +21,6 @@ type ClientConfig struct {
 	// discovered from the (possibly hostile) local network.
 	Server  inet.HostPort
 	Carrier Carrier
-	// IfaceName is the tun device name (default tun0).
-	IfaceName string
 	// SplitTunnelPrefixes, when non-empty, routes only these prefixes
 	// through the tunnel instead of all traffic. This violates the
 	// paper's requirement 4 and exists as the E3 ablation demonstrating
@@ -47,9 +45,6 @@ type ClientConfig struct {
 }
 
 func (c *ClientConfig) fill() {
-	if c.IfaceName == "" {
-		c.IfaceName = "tun0"
-	}
 	if c.HandshakeTimeout == 0 {
 		c.HandshakeTimeout = 10 * sim.Second
 	}
@@ -400,11 +395,11 @@ func (c *Client) bringUp(prefix inet.Prefix) {
 			c.PacketsOut++
 			c.sendMsg(frame(msgData, c.seal.seal(ipPacket)))
 		})
-		c.ip.AddIface(c.cfg.IfaceName, c.tun, c.tunnelIP, prefix)
+		c.ip.AddIface(tunName, c.tun, c.tunnelIP, prefix)
 
 		// Pin the carrier's path to the physical network first, then steer
 		// everything else into the tunnel.
-		if r, ok := c.ip.LookupRoute(c.cfg.Server.Addr); ok && r.Iface != c.cfg.IfaceName {
+		if r, ok := c.ip.LookupRoute(c.cfg.Server.Addr); ok && r.Iface != tunName {
 			c.ip.AddRoute(ipv4.Route{
 				Prefix:  inet.Prefix{Addr: c.cfg.Server.Addr, Bits: 32},
 				Gateway: r.Gateway, Iface: r.Iface,
@@ -413,14 +408,14 @@ func (c *Client) bringUp(prefix inet.Prefix) {
 		if len(c.cfg.SplitTunnelPrefixes) == 0 {
 			// Full tunnel, OpenVPN redirect-gateway style: two /1 routes beat
 			// any default route without touching it.
-			c.ip.AddRoute(ipv4.Route{Prefix: inet.MustParsePrefix("0.0.0.0/1"), Iface: c.cfg.IfaceName})
-			c.ip.AddRoute(ipv4.Route{Prefix: inet.MustParsePrefix("128.0.0.0/1"), Iface: c.cfg.IfaceName})
+			c.ip.AddRoute(ipv4.Route{Prefix: inet.MustParsePrefix("0.0.0.0/1"), Iface: tunName})
+			c.ip.AddRoute(ipv4.Route{Prefix: inet.MustParsePrefix("128.0.0.0/1"), Iface: tunName})
 		} else {
 			for _, p := range c.cfg.SplitTunnelPrefixes {
-				c.ip.AddRoute(ipv4.Route{Prefix: p, Iface: c.cfg.IfaceName})
+				c.ip.AddRoute(ipv4.Route{Prefix: p, Iface: tunName})
 			}
 		}
-	} else if ifc := c.ip.Iface(c.cfg.IfaceName); ifc != nil && ifc.Addr != c.tunnelIP {
+	} else if ifc := c.ip.Iface(tunName); ifc != nil && ifc.Addr != c.tunnelIP {
 		// The server handed out a different address (a carrier reconnect
 		// built a fresh server-side session): move the interface.
 		ifc.Addr = c.tunnelIP

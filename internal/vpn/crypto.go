@@ -62,9 +62,6 @@ const nonceLen = 16
 // macLen is the truncated record MAC size.
 const macLen = 16
 
-// RecordOverhead is the bytes a data record adds to an inner packet.
-const RecordOverhead = 8 + macLen
-
 // sessionKeys holds the directional keys derived from the PSK and nonces.
 type sessionKeys struct {
 	encC2S, encS2C [16]byte

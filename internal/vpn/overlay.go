@@ -27,8 +27,8 @@ import (
 // scenario of the paper, E13) sees only opaque bytes and the exit sees only
 // the previous hop plus an origin pseudonym — never the client's address.
 
-// OverlayPort is the default overlay link service port (the end-to-end
-// tunnel keeps DefaultPort; relays carry it inside streams).
+// OverlayPort is the overlay link service port (the end-to-end tunnel keeps
+// DefaultPort; relays carry it inside streams).
 const OverlayPort inet.Port = 4790
 
 // Role determines what a node will do for others.
@@ -64,12 +64,8 @@ type NodeConfig struct {
 	// PSK authenticates every link this node forms (requirement 2 applies
 	// per hop: keys are arranged out of band, never over the mesh).
 	PSK []byte
-	// ListenPort defaults to OverlayPort.
-	ListenPort inet.Port
 	// Advertise lists the prefixes this node terminates (exits).
 	Advertise []inet.Prefix
-	// MaxHops caps route metrics (default DefaultMaxHops).
-	MaxHops int
 
 	// Per-link liveness and healing, with the same defaults as the
 	// end-to-end ClientConfig.
@@ -78,15 +74,6 @@ type NodeConfig struct {
 	HandshakeTimeout sim.Time
 	BackoffBase      sim.Time
 	BackoffMax       sim.Time
-}
-
-func (c *NodeConfig) fill() {
-	if c.ListenPort == 0 {
-		c.ListenPort = OverlayPort
-	}
-	if c.MaxHops == 0 {
-		c.MaxHops = DefaultMaxHops
-	}
 }
 
 // Overlay errors.
@@ -130,7 +117,6 @@ type Node struct {
 // NewNode builds an overlay node on a host's stacks. Call Listen to accept
 // inbound links and AddPeer to dial outbound ones.
 func NewNode(ip *ipv4.Stack, t *tcp.Stack, cfg NodeConfig) *Node {
-	cfg.fill()
 	return &Node{
 		cfg: cfg, ip: ip, t: t,
 		rt:       newRouteTable(),
@@ -169,15 +155,6 @@ func (n *Node) LinkReconnects() uint64 {
 	var s uint64
 	for _, l := range n.links {
 		s += l.p.Reconnects
-	}
-	return s
-}
-
-// LinkPeerTimeouts sums dead-peer declarations across links.
-func (n *Node) LinkPeerTimeouts() uint64 {
-	var s uint64
-	for _, l := range n.links {
-		s += l.p.PeerTimeouts
 	}
 	return s
 }
@@ -252,7 +229,7 @@ func (n *Node) AddPeer(addr inet.HostPort) {
 
 // Listen accepts inbound links on the overlay port.
 func (n *Node) Listen() error {
-	ln, err := n.t.Listen(n.cfg.ListenPort)
+	ln, err := n.t.Listen(OverlayPort)
 	if err != nil {
 		return err
 	}
@@ -420,10 +397,10 @@ func (n *Node) handleRouteAd(l *link, body []byte) {
 			continue // our own prefixes are never learned from the mesh
 		}
 		hops := e.hops
-		if hops >= n.cfg.MaxHops {
-			hops = n.cfg.MaxHops // any over-limit metric is a withdrawal
+		if hops >= maxHops {
+			hops = maxHops // any over-limit metric is a withdrawal
 		}
-		if n.rt.update(e.prefix, l.seq, hops, n.cfg.MaxHops) {
+		if n.rt.update(e.prefix, l.seq, hops) {
 			changed = append(changed, e.prefix)
 		}
 	}
@@ -444,7 +421,7 @@ func (n *Node) adFor(p inet.Prefix, to *link) adEntry {
 		}
 	}
 	b, ok := n.rt.best[p]
-	if !ok || b.linkSeq == to.seq || b.hops+1 >= n.cfg.MaxHops {
+	if !ok || b.linkSeq == to.seq || b.hops+1 >= maxHops {
 		return adEntry{prefix: p, hops: hopsUnreachable}
 	}
 	return adEntry{prefix: p, hops: b.hops + 1}

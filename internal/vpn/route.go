@@ -12,11 +12,11 @@ import (
 // node advertises the prefixes it terminates at 1 hop, neighbours re-flood
 // reachable prefixes at best+1 with poisoned reverse back toward the next
 // hop, and withdrawals (hops = 0xff) flood everywhere. Metrics cap at the
-// node's MaxHops, which bounds count-to-infinity churn.
+// maxHops, which bounds count-to-infinity churn.
 
-// DefaultMaxHops is the metric ceiling: an advertisement at or beyond it is
-// a withdrawal.
-const DefaultMaxHops = 16
+// maxHops is the metric ceiling: an advertisement at or beyond it is a
+// withdrawal.
+const maxHops = 16
 
 // hopsUnreachable is the on-wire withdrawal metric.
 const hopsUnreachable = 0xff
@@ -84,7 +84,7 @@ func newRouteTable() routeTable {
 
 // update records one advertisement (hops >= maxHops withdraws the link's
 // candidate) and reports whether the prefix's best route changed.
-func (rt *routeTable) update(p inet.Prefix, linkSeq, hops, maxHops int) bool {
+func (rt *routeTable) update(p inet.Prefix, linkSeq, hops int) bool {
 	c, ok := rt.cands[p]
 	if !ok {
 		if hops >= maxHops {

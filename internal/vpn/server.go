@@ -32,30 +32,18 @@ func (c Carrier) String() string {
 // DefaultPort is the tunnel service port.
 const DefaultPort inet.Port = 4789
 
+// TunnelPrefix is the tunnel's virtual subnet: the server takes its first
+// host address and assigns the rest to clients.
+var TunnelPrefix = inet.Prefix{Addr: inet.Addr{10, 99, 0, 0}, Bits: 24}
+
+// tunName is the tun device's interface name on the client and the server.
+const tunName = "tun0"
+
 // ServerConfig configures a VPN endpoint.
 type ServerConfig struct {
 	// PSK is the preestablished shared secret (paper requirement 2).
-	PSK []byte
-	// ListenPort defaults to DefaultPort.
-	ListenPort inet.Port
-	Carrier    Carrier
-	// TunnelPrefix is the virtual subnet; the server takes its first host
-	// address and assigns the rest to clients. Default 10.99.0.0/24.
-	TunnelPrefix inet.Prefix
-	// IfaceName is the tun device name on the server stack (default tun0).
-	IfaceName string
-}
-
-func (c *ServerConfig) fill() {
-	if c.ListenPort == 0 {
-		c.ListenPort = DefaultPort
-	}
-	if c.TunnelPrefix.Bits == 0 {
-		c.TunnelPrefix = inet.MustParsePrefix("10.99.0.0/24")
-	}
-	if c.IfaceName == "" {
-		c.IfaceName = "tun0"
-	}
+	PSK     []byte
+	Carrier Carrier
 }
 
 // session is one authenticated client on the server.
@@ -95,7 +83,7 @@ type Server struct {
 
 // serverTunIP is the server's own address inside the tunnel subnet.
 func (s *Server) serverTunIP() inet.Addr {
-	return inet.AddrFromUint32(s.cfg.TunnelPrefix.Addr.Uint32() + 1)
+	return inet.AddrFromUint32(TunnelPrefix.Addr.Uint32() + 1)
 }
 
 // SessionIPs lists the assigned tunnel addresses of the authenticated
@@ -121,10 +109,9 @@ func (s *Server) TamperDetected() uint64 {
 
 // newServer builds the shared parts.
 func newServer(ip *ipv4.Stack, cfg ServerConfig) *Server {
-	cfg.fill()
 	s := &Server{cfg: cfg, ip: ip, sessions: make(map[inet.Addr]*session), nextHost: 1}
 	s.tun = newTunNIC(ethernet.MAC{0x02, 0xf0, 0x0d, 0x00, 0x01, 0x00}, s.tunOutbound)
-	ip.AddIface(cfg.IfaceName, s.tun, s.serverTunIP(), cfg.TunnelPrefix)
+	ip.AddIface(tunName, s.tun, s.serverTunIP(), TunnelPrefix)
 	return s
 }
 
@@ -145,10 +132,10 @@ func (s *Server) tunOutbound(ipPacket []byte) {
 
 // allocIP hands out the next tunnel address.
 func (s *Server) allocIP() (inet.Addr, error) {
-	for i := 0; i < 1<<(32-s.cfg.TunnelPrefix.Bits); i++ {
+	for i := 0; i < 1<<(32-TunnelPrefix.Bits); i++ {
 		s.nextHost++
-		ip := inet.AddrFromUint32(s.cfg.TunnelPrefix.Addr.Uint32() + s.nextHost)
-		if !s.cfg.TunnelPrefix.Contains(ip) {
+		ip := inet.AddrFromUint32(TunnelPrefix.Addr.Uint32() + s.nextHost)
+		if !TunnelPrefix.Contains(ip) {
 			return inet.Addr{}, fmt.Errorf("vpn: tunnel subnet exhausted")
 		}
 		if _, taken := s.sessions[ip]; !taken && ip != s.serverTunIP() {
@@ -189,7 +176,7 @@ func (s *Server) handleMsg(sess *session, msg []byte) {
 			// assignment; resend it under a fresh record sequence.
 			assign := make([]byte, 5)
 			copy(assign[:4], sess.tunnelIP[:])
-			assign[4] = byte(s.cfg.TunnelPrefix.Bits)
+			assign[4] = byte(TunnelPrefix.Bits)
 			sess.send(frame(msgAssignIP, sess.seal.seal(assign)))
 			return
 		}
@@ -209,7 +196,7 @@ func (s *Server) handleMsg(sess *session, msg []byte) {
 		s.Handshakes++
 		assign := make([]byte, 5)
 		copy(assign[:4], ip[:])
-		assign[4] = byte(s.cfg.TunnelPrefix.Bits)
+		assign[4] = byte(TunnelPrefix.Bits)
 		sess.send(frame(msgAssignIP, sess.seal.seal(assign)))
 	case msgData:
 		if !sess.hs.authed {
@@ -236,7 +223,7 @@ func (s *Server) handleMsg(sess *session, msg []byte) {
 // NewServerTCP starts a TCP-carrier endpoint on the host's stacks.
 func NewServerTCP(ip *ipv4.Stack, t *tcp.Stack, cfg ServerConfig) (*Server, error) {
 	s := newServer(ip, cfg)
-	l, err := t.Listen(s.cfg.ListenPort)
+	l, err := t.Listen(DefaultPort)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +247,7 @@ func NewServerTCP(ip *ipv4.Stack, t *tcp.Stack, cfg ServerConfig) (*Server, erro
 // NewServerUDP starts a UDP-carrier endpoint.
 func NewServerUDP(ip *ipv4.Stack, u *udp.Stack, cfg ServerConfig) (*Server, error) {
 	s := newServer(ip, cfg)
-	sock, err := u.Bind(s.cfg.ListenPort)
+	sock, err := u.Bind(DefaultPort)
 	if err != nil {
 		return nil, err
 	}

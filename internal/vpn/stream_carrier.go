@@ -34,7 +34,7 @@ func ConnectOverlay(ip *ipv4.Stack, node *Node, cfg ClientConfig) (*Client, erro
 	// never be routed into the tunnel they carry. (bringUp pins cfg.Server
 	// the same way, but overlay carriers flow to the relays, not the exit.)
 	for _, addr := range node.PeerAddrs() {
-		if r, ok := ip.LookupRoute(addr); ok && r.Iface != cfg.IfaceName {
+		if r, ok := ip.LookupRoute(addr); ok && r.Iface != tunName {
 			ip.AddRoute(ipv4.Route{
 				Prefix:  inet.Prefix{Addr: addr, Bits: 32},
 				Gateway: r.Gateway, Iface: r.Iface,
@@ -120,7 +120,7 @@ func ConnectOverlay(ip *ipv4.Stack, node *Node, cfg ClientConfig) (*Client, erro
 func NewServerStream(node *Node, cfg ServerConfig) (*Server, error) {
 	s := newServer(node.ip, cfg)
 	byOrigin := make(map[string]*session)
-	node.Handle(s.cfg.ListenPort, func(st *Stream) {
+	node.Handle(DefaultPort, func(st *Stream) {
 		sess, ok := byOrigin[st.Origin]
 		if !ok {
 			sess = &session{}
