@@ -85,9 +85,9 @@ func benchmarkMediumBroadcastDense(b *testing.B) {
 }
 
 // BenchmarkMediumBroadcast stands for phy's share of the campus workloads:
-// 75% of campus-join CPU and 58% of campus-steady's in one traced seed-1
-// run of bench/run.sh on 2 vCPUs, nearly all of it Medium.complete's
-// per-candidate delivery loop. The radios=N cases price the gather as the
+// 71% of campus-join CPU (516 ms a unit) and 56% of campus-steady's (91 ms a
+// window) in one traced seed-1 run of bench/run.sh (--seconds 12) on 2
+// vCPUs, nearly all of it Medium.complete's per-candidate delivery loop. The radios=N cases price the gather as the
 // world grows; the dense case prices the fan-out, capture test and loss
 // decisions that a campus join spends that share on.
 func BenchmarkMediumBroadcast(b *testing.B) {

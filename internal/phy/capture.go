@@ -15,9 +15,11 @@ import "math"
 //
 // both distances clamped to ≥ 1 m as PL clamps them. The factor
 // 10^(K/(5n)) depends only on the two transmissions and the receiver's
-// channel, so one completion computes it once per (overlap, receiver
-// channel) and each (candidate, overlap) check costs a few multiplies
-// instead of a Hypot and a Log10.
+// channel, so one completion lists, once per receiver channel, the overlaps
+// that channel can hear with their source positions and factors, and each
+// candidate walks only its channel's list: a squared distance, a multiply
+// and a compare per entry instead of a Hypot and a Log10. K itself takes a
+// handful of values on a campus, so the medium memoizes 10^(K/(5n)) by K.
 //
 // The decode floor works in the same domain. A candidate is below it iff
 // P_tx - PL(d_tx) - N < decodeFloorSNRDB (channel rejection cancels out of
@@ -36,44 +38,103 @@ import "math"
 // test evaluates the dB expression itself. Non-finite values fail the band
 // check and take the dB expression too. Shadowing adds a per-frame draw to
 // rssi that the ratio form cannot see, so shadowed mediums keep the dB
-// expressions and compute rssi first.
+// expressions and compute rssi first. The test is a pure OR, and on an
+// unshadowed medium its dB fallback is a pure function of the geometry, so
+// leaving out an overlap the receiver's channel cannot hear (+Inf
+// rejection) changes no boolean.
 
 // ratioGuard is the relative half-width of the band around a threshold
 // inside which a ratio-domain test defers to the exact dB expression.
 const ratioGuard = 1e-9
 
-// captureSlots is the factor-table stride: one slot per channel number.
-const captureSlots = int(MaxChannel) + 1
+// interferer is one overlap as a receiver channel hears it: the source
+// position and threshold factor the ratio test reads, and the transmission
+// and channel rejection its dB fallback needs.
+type interferer struct {
+	pos  Position
+	f    float64 // 10^(K/(5n))
+	o    *transmission
+	orej float64
+}
 
-// captureScratch memoizes one completion's ratio-domain threshold factors:
-// fac[i*captureSlots+c] belongs to overlap i heard on channel c, and 0 means
-// not yet computed. The Medium owns one and resets it per completion.
+// captureScratch is the capture test's per-medium state. lists[c] holds one
+// completion's interferers on receiver channel c, in overlap order, built on
+// the first candidate tuned to c; bit c of built marks it current, so the
+// per-completion reset is one store. pow memoizes the threshold factors
+// across completions.
 type captureScratch struct {
-	fac []float64
+	built uint16
+	lists [MaxChannel + 1][]interferer
+	pow   powMemo
 }
 
-// reset empties the table for a transmission with n overlaps.
-func (c *captureScratch) reset(n int) {
-	need := n * captureSlots
-	if cap(c.fac) < need {
-		c.fac = make([]float64, need)
-		return
+// reset forgets the previous completion's lists.
+func (c *captureScratch) reset() { c.built = 0 }
+
+// list returns tx's interferers as heard on channel ch.
+func (c *captureScratch) list(m *Medium, tx *transmission, ch Channel) []interferer {
+	if c.built&(1<<ch) == 0 {
+		c.build(m, tx, ch)
 	}
-	c.fac = c.fac[:need]
-	clear(c.fac)
+	return c.lists[ch]
 }
 
-// factor returns 10^(K/(5n)) for o, overlap i of tx, heard on channel ch
-// with orej rejection, computing it on first use. An underflowed 0 is
-// recomputed on every call, which is wasteful but exact.
-func (c *captureScratch) factor(m *Medium, tx, o *transmission, i int, ch Channel, orej float64) float64 {
-	slot := &c.fac[i*captureSlots+int(ch)]
-	if *slot == 0 {
-		k := captureThresholdDB + o.powerDBm - tx.powerDBm +
-			channelRejectionDB(tx.channel, ch) - orej
-		*slot = math.Pow(10, k/(5*m.cfg.PathLossExponent))
+// build lists the overlaps of tx that channel ch can hear (finite
+// rejection), each with its threshold factor.
+func (c *captureScratch) build(m *Medium, tx *transmission, ch Channel) {
+	c.built |= 1 << ch
+	l := c.lists[ch][:0]
+	rej := channelRejectionDB(tx.channel, ch)
+	for _, o := range tx.overlaps {
+		orej := channelRejectionDB(o.channel, ch)
+		if math.IsInf(orej, 1) {
+			continue
+		}
+		k := captureThresholdDB + o.powerDBm - tx.powerDBm + rej - orej
+		l = append(l, interferer{pos: o.src.pos, f: c.pow.factor(k, m.cfg.PathLossExponent), o: o, orej: orej})
 	}
-	return *slot
+	c.lists[ch] = l
+}
+
+// powMemoSlots sizes the factor memo's open-addressed table; at most
+// powMemoCap slots fill, so every probe ends at an empty slot. A campus
+// meets at most 27 K values (power differences 0 and ±6 dB, rejection
+// differences 12 dB apart from −48 to 48); a medium that meets more than
+// the cap computes the rest uncached.
+const (
+	powMemoBits  = 6
+	powMemoSlots = 1 << powMemoBits
+	powMemoCap   = 32
+)
+
+// powMemo maps K, by its exact bits, to 10^(K/(5n)) for the medium's
+// path-loss exponent n. Every value is the math.Pow result itself, so a hit
+// and a miss return the same float.
+type powMemo struct {
+	keys [powMemoSlots]uint64
+	vals [powMemoSlots]float64
+	used uint64 // bit i set: slot i holds an entry (so at most 64 slots)
+	n    int
+}
+
+// factor returns math.Pow(10, k/(5*exp)), storing it while the memo has
+// room. exp must be the same on every call.
+func (p *powMemo) factor(k, exp float64) float64 {
+	b := math.Float64bits(k)
+	i := (b * 0x9e3779b97f4a7c15) >> (64 - powMemoBits) // Fibonacci hashing
+	for p.used&(1<<i) != 0 {
+		if p.keys[i] == b {
+			return p.vals[i]
+		}
+		i = (i + 1) % powMemoSlots
+	}
+	v := math.Pow(10, k/(5*exp))
+	if p.n < powMemoCap {
+		p.keys[i], p.vals[i] = b, v
+		p.used |= 1 << i
+		p.n++
+	}
+	return v
 }
 
 // dist2 is the squared distance between a and b, clamped to ≥ 1 m² exactly
@@ -101,22 +162,20 @@ func (m *Medium) belowDecodeFloor(tx *transmission, rx *Radio, rej, d2 float64) 
 
 // overlapCollides reports whether any of tx.overlaps is loud enough at rx to
 // defeat capture of tx's frame, which reaches rx from clamped squared
-// distance dtx2 with rej dB of channel rejection. Threshold factors are
-// memoized in m.capture (reset for tx's overlaps by the caller). Unshadowed
-// mediums only, like belowDecodeFloor. No RNG, no counters; the early
-// return is sound because only the OR is observable.
+// distance dtx2 with rej dB of channel rejection. It walks rx's channel list
+// in m.capture (reset for tx by the caller). Unshadowed mediums only, like
+// belowDecodeFloor. No RNG, no counters; the early return is sound because
+// only the OR is observable.
 func (m *Medium) overlapCollides(tx *transmission, rx *Radio, rej, dtx2 float64) bool {
-	for i, o := range tx.overlaps {
-		orej := channelRejectionDB(o.channel, rx.channel)
-		if math.IsInf(orej, 1) {
-			continue
-		}
-		t := dtx2 * m.capture.factor(m, tx, o, i, rx.channel, orej)
-		if d := dist2(o.src.pos, rx.pos) - t; math.Abs(d) > ratioGuard*t {
+	l := m.capture.list(m, tx, rx.channel)
+	for i := range l {
+		e := &l[i]
+		t := dtx2 * e.f
+		if d := dist2(e.pos, rx.pos) - t; math.Abs(d) > ratioGuard*t {
 			if d < 0 {
 				return true
 			}
-		} else if m.collidesDB(o, rx, m.rssiAt(tx, rx, rej), orej) {
+		} else if m.collidesDB(e.o, rx, m.rssiAt(tx, rx, rej), e.orej) {
 			return true
 		}
 	}

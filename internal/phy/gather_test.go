@@ -61,23 +61,31 @@ func refGatherInto(m *Medium, cand []*Radio, tx *transmission) []*Radio {
 }
 
 // gatherBranches reports which gather branches tx's neighborhood takes in a
-// spatial medium: a sparse shard's member list, a grid-cell probe, or both.
-func gatherBranches(m *Medium, tx *transmission) (sparse, grid bool) {
+// spatial medium: a sparse shard's member list, a dense shard whose cell box
+// the search rectangle covers (member list too), a grid-cell probe, or
+// several.
+func gatherBranches(m *Medium, tx *transmission) (sparse, covered, grid bool) {
 	rad := searchRadius(tx.reach)
 	p := tx.src.pos
-	nx := int64(math.Floor((p.X+rad)/m.cellSize)) - int64(math.Floor((p.X-rad)/m.cellSize)) + 1
-	ny := int64(math.Floor((p.Y+rad)/m.cellSize)) - int64(math.Floor((p.Y-rad)/m.cellSize)) + 1
+	rect := cellRect{
+		x0: int32(math.Floor((p.X - rad) / m.cellSize)), y0: int32(math.Floor((p.Y - rad) / m.cellSize)),
+		x1: int32(math.Floor((p.X + rad) / m.cellSize)), y1: int32(math.Floor((p.Y + rad) / m.cellSize)),
+	}
+	cells := int64(rect.x1-rect.x0+1) * int64(rect.y1-rect.y0+1)
 	lo, hi := channelNeighborhood(tx.channel)
 	for ch := lo; ch <= hi; ch++ {
-		switch n := int64(len(m.shards[ch].radios)); {
+		s := &m.shards[ch]
+		switch n := int64(len(s.radios)); {
 		case n == 0:
-		case n <= nx*ny:
+		case n <= cells:
 			sparse = true
+		case rect.covers(s.box):
+			covered = true
 		default:
 			grid = true
 		}
 	}
-	return sparse, grid
+	return sparse, covered, grid
 }
 
 func sameRadios(a, b []*Radio) bool {
@@ -93,14 +101,17 @@ func sameRadios(a, b []*Radio) bool {
 }
 
 // TestGatherMatchesSortedReference drives random seeded sequences of
-// attaches, retunes, moves, sends and kernel advances, and after every send
-// compares the bitset gather with the sort-based oracle. Channels lean on the 1/6/11
-// plan so some shards outgrow the probed rectangle (grid branch) while
-// others stay sparse (member-bitset OR); a share of radios transmit 6 dB
-// hot, as a rogue does, which widens the rectangle; shadowing mode ORs in
-// the whole neighborhood.
+// attaches, retunes, sends and kernel advances, and after every send
+// compares the bitset gather with the sort-based oracle. Channels lean on
+// the 1/6/11 plan so some shards outgrow the probed rectangle while others
+// stay sparse (member-bitset OR). Every third seed packs the world into
+// ±300 m, where the rectangle covers a dense shard's whole cell box
+// (member-bitset OR again); the rest span ±1.5 km, where dense shards probe
+// the grid cells the rectangle and the box share. A share of radios
+// transmit 6 dB hot, as a rogue does, which widens the rectangle; shadowing
+// mode ORs in the whole neighborhood.
 func TestGatherMatchesSortedReference(t *testing.T) {
-	var sends, sparseHits, gridHits, hotSends int
+	var sends, sparseHits, coveredHits, gridHits, hotSends int
 	for seed := uint64(1); seed <= 12; seed++ {
 		for _, sigma := range []float64{0, 3} {
 			rng := sim.NewRNG(seed)
@@ -112,9 +123,13 @@ func TestGatherMatchesSortedReference(t *testing.T) {
 				}
 				return MinChannel + Channel(rng.Intn(int(MaxChannel)))
 			}
+			// ±1.5 km spans several ~400 m grid cells; ±300 m two or so.
+			half := 1500.0
+			if seed%3 == 0 {
+				half = 300
+			}
 			randPos := func() Position {
-				// ±1.5 km spans several ~400 m grid cells.
-				return Position{X: rng.Float64()*3000 - 1500, Y: rng.Float64()*3000 - 1500}
+				return Position{X: (rng.Float64()*2 - 1) * half, Y: (rng.Float64()*2 - 1) * half}
 			}
 			addRadio := func() {
 				power := float64(defaultTxPowerDBm)
@@ -132,12 +147,10 @@ func TestGatherMatchesSortedReference(t *testing.T) {
 				radios := m.Radios()
 				r := radios[rng.Intn(len(radios))]
 				switch rng.Intn(10) {
-				case 0:
+				case 0, 3:
 					addRadio()
 				case 1, 2:
 					r.SetChannel(randChannel())
-				case 3:
-					r.SetPosition(randPos())
 				case 4:
 					k.RunFor(sim.Time(rng.Intn(2000)) * sim.Microsecond)
 				default:
@@ -154,9 +167,12 @@ func TestGatherMatchesSortedReference(t *testing.T) {
 						hotSends++
 					}
 					if m.spatial {
-						sp, gr := gatherBranches(m, tx)
+						sp, cov, gr := gatherBranches(m, tx)
 						if sp {
 							sparseHits++
+						}
+						if cov {
+							coveredHits++
 						}
 						if gr {
 							gridHits++
@@ -167,9 +183,9 @@ func TestGatherMatchesSortedReference(t *testing.T) {
 			k.Run()
 		}
 	}
-	t.Logf("%d sends: %d sparse, %d grid, %d hot", sends, sparseHits, gridHits, hotSends)
-	if sparseHits == 0 || gridHits == 0 || hotSends == 0 {
-		t.Fatalf("weak coverage: %d sends, %d sparse, %d grid, %d hot",
-			sends, sparseHits, gridHits, hotSends)
+	t.Logf("%d sends: %d sparse, %d covered, %d grid, %d hot", sends, sparseHits, coveredHits, gridHits, hotSends)
+	if sparseHits == 0 || coveredHits == 0 || gridHits == 0 || hotSends == 0 {
+		t.Fatalf("weak coverage: %d sends, %d sparse, %d covered, %d grid, %d hot",
+			sends, sparseHits, coveredHits, gridHits, hotSends)
 	}
 }

@@ -160,7 +160,8 @@ type Medium struct {
 	// differential oracle and the sharded-vs-unsharded benchmark floor.
 	flatScan bool
 	// cand/candSet/capture are the delivery loop's scratch: the candidate
-	// list, the bitset that orders it, and the capture-factor table.
+	// list, the bitset that orders it, and the capture test's interferer
+	// lists and factor memo.
 	cand    []*Radio
 	candSet []uint64
 	capture captureScratch
@@ -280,20 +281,19 @@ func (m *Medium) rssiAt(tx *transmission, rx *Radio, rej float64) float64 {
 	return m.rxPowerDBm(tx.powerDBm, tx.src.pos, rx.pos) - rej
 }
 
-// channelRejectionDB attenuates energy from adjacent channels. 802.11b
-// channels 5 apart are effectively orthogonal.
+// rejectionDB[d] is the attenuation of energy from a channel d away: 12 dB
+// per channel of separation, and +Inf from 5 apart, where 802.11b channels
+// are effectively orthogonal.
+var rejectionDB = [MaxChannel]float64{0, 12, 24, 36, 48,
+	math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
+
+// channelRejectionDB attenuates energy from adjacent channels (both valid).
 func channelRejectionDB(a, b Channel) float64 {
 	d := int(a) - int(b)
 	if d < 0 {
 		d = -d
 	}
-	if d == 0 {
-		return 0
-	}
-	if d >= 5 {
-		return math.Inf(1)
-	}
-	return float64(d) * 12
+	return rejectionDB[d]
 }
 
 // RxInfo describes a received frame to the MAC layer.
@@ -334,7 +334,8 @@ type Radio struct {
 	// not concatenate (and allocate) the label per frame.
 	digestLabel string
 	// shardIdx/cell/cellIdx locate the radio inside its channel shard and
-	// grid cell for O(1) migration (see shard.go).
+	// grid cell for O(1) retuning (see shard.go); the cell is fixed, since
+	// positions are.
 	shardIdx int
 	cell     gridKey
 	cellIdx  int
@@ -378,22 +379,8 @@ func (m *Medium) AddRadio(cfg RadioConfig) *Radio {
 // Name reports the radio's human-readable name.
 func (r *Radio) Name() string { return r.name }
 
-// Position reports the radio's location.
+// Position reports the radio's location, fixed at AddRadio.
 func (r *Radio) Position() Position { return r.pos }
-
-// SetPosition moves the radio (client mobility), migrating it between grid
-// cells when it crosses a cell boundary.
-func (r *Radio) SetPosition(p Position) {
-	r.pos = p
-	s := r.medium.shard(r.channel)
-	if key := r.medium.cellOf(p); key != r.cell {
-		s.removeFromCell(r)
-		cell := s.grid[key]
-		r.cell = key
-		r.cellIdx = len(cell)
-		s.grid[key] = append(cell, r)
-	}
-}
 
 // Channel reports the tuned channel.
 func (r *Radio) Channel() Channel { return r.channel }
@@ -547,7 +534,7 @@ func (m *Medium) complete(tx *transmission) {
 	if !m.flatScan {
 		cand = m.gatherCandidates(tx)
 	}
-	m.capture.reset(len(tx.overlaps))
+	m.capture.reset()
 	for _, rx := range cand {
 		// No-receiver radios (the fault jammer is the only kind) are skipped
 		// before any loss draw: there is nothing to deliver to, so burning

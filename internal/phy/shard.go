@@ -50,6 +50,14 @@ const defaultTxPowerDBm = 15
 // gridKey addresses one square grid cell of a shard.
 type gridKey struct{ cx, cy int32 }
 
+// cellRect is an inclusive rectangle of grid cells.
+type cellRect struct{ x0, y0, x1, y1 int32 }
+
+// covers reports whether r contains every cell of q.
+func (r cellRect) covers(q cellRect) bool {
+	return r.x0 <= q.x0 && q.x1 <= r.x1 && r.y0 <= q.y0 && q.y1 <= r.y1
+}
+
 // mediumShard is the per-channel partition: member radios, their spatial
 // grid, and the transmissions on air on this channel.
 type mediumShard struct {
@@ -58,7 +66,11 @@ type mediumShard struct {
 	// set iff radio i is tuned to this channel.
 	members []uint64
 	grid    map[gridKey][]*Radio
-	active  []*transmission
+	// box bounds every cell a radio was ever filed in on this shard (valid
+	// once grid is non-nil). It grows in insert and never shrinks, so no
+	// member sits outside it.
+	box    cellRect
+	active []*transmission
 }
 
 // shard returns the partition for a channel (caller guarantees validity).
@@ -103,7 +115,8 @@ func (m *Medium) cellOf(p Position) gridKey {
 }
 
 // insert adds r (already positioned and tuned) to the shard and its grid
-// cell, recording the indices that make removal O(1).
+// cell, recording the indices that make removal O(1), and grows the shard's
+// cell box to hold the cell.
 func (s *mediumShard) insert(r *Radio, key gridKey) {
 	r.shardIdx = len(s.radios)
 	s.radios = append(s.radios, r)
@@ -114,6 +127,9 @@ func (s *mediumShard) insert(r *Radio, key gridKey) {
 	s.members[w] |= 1 << (r.idx & 63)
 	if s.grid == nil {
 		s.grid = make(map[gridKey][]*Radio)
+		s.box = cellRect{key.cx, key.cy, key.cx, key.cy}
+	} else {
+		s.box = cellRect{min(s.box.x0, key.cx), min(s.box.y0, key.cy), max(s.box.x1, key.cx), max(s.box.y1, key.cy)}
 	}
 	r.cell = key
 	cell := s.grid[key]
@@ -121,8 +137,10 @@ func (s *mediumShard) insert(r *Radio, key gridKey) {
 	s.grid[key] = append(cell, r)
 }
 
-// remove detaches r from the shard via swap-remove. Membership order is not
-// observable — the gather orders candidates by global index.
+// remove detaches r from the shard and its grid cell via swap-removes.
+// Membership order is not observable — the gather orders candidates by
+// global index. The cell's emptied tail slot keeps its backing array so
+// scan-heavy radios that hop between channels do not reallocate cell slices.
 func (s *mediumShard) remove(r *Radio) {
 	s.members[r.idx>>6] &^= 1 << (r.idx & 63)
 	last := len(s.radios) - 1
@@ -131,16 +149,10 @@ func (s *mediumShard) remove(r *Radio) {
 	moved.shardIdx = r.shardIdx
 	s.radios[last] = nil
 	s.radios = s.radios[:last]
-	s.removeFromCell(r)
-}
 
-// removeFromCell detaches r from its grid cell only (swap-remove). The
-// emptied tail slot keeps its backing array so scan-heavy radios that hop
-// between channels do not reallocate cell slices.
-func (s *mediumShard) removeFromCell(r *Radio) {
 	cell := s.grid[r.cell]
-	last := len(cell) - 1
-	moved := cell[last]
+	last = len(cell) - 1
+	moved = cell[last]
 	cell[r.cellIdx] = moved
 	moved.cellIdx = r.cellIdx
 	cell[last] = nil
@@ -161,15 +173,17 @@ func (m *Medium) gatherCandidates(tx *transmission) []*Radio {
 	// Shadowing mode probes no cells: reception at any distance is a draw,
 	// so every radio in the channel neighborhood participates.
 	cells := int64(math.MaxInt64)
-	var cx0, cx1, cy0, cy1 int32
+	var rect cellRect
 	if m.spatial {
 		rad := searchRadius(tx.reach)
 		p := tx.src.pos
-		cx0 = int32(math.Floor((p.X - rad) / m.cellSize))
-		cx1 = int32(math.Floor((p.X + rad) / m.cellSize))
-		cy0 = int32(math.Floor((p.Y - rad) / m.cellSize))
-		cy1 = int32(math.Floor((p.Y + rad) / m.cellSize))
-		cells = int64(cx1-cx0+1) * int64(cy1-cy0+1)
+		rect = cellRect{
+			x0: int32(math.Floor((p.X - rad) / m.cellSize)),
+			y0: int32(math.Floor((p.Y - rad) / m.cellSize)),
+			x1: int32(math.Floor((p.X + rad) / m.cellSize)),
+			y1: int32(math.Floor((p.Y + rad) / m.cellSize)),
+		}
+		cells = int64(rect.x1-rect.x0+1) * int64(rect.y1-rect.y0+1)
 	}
 	lo, hi := channelNeighborhood(tx.channel)
 	for ch := lo; ch <= hi; ch++ {
@@ -177,18 +191,20 @@ func (m *Medium) gatherCandidates(tx *transmission) []*Radio {
 		if len(s.radios) == 0 {
 			continue
 		}
-		if int64(len(s.radios)) <= cells {
-			// Whole shard — shadowing mode, or a sparse shard, where ORing
-			// the member words beats probing more cells than it has radios.
-			// Safe either way: the decode floor, not the grid, is the exact
-			// filter.
+		if int64(len(s.radios)) <= cells || rect.covers(s.box) {
+			// Whole shard — shadowing mode; a sparse shard, where ORing the
+			// member words beats probing more cells than it has radios; or
+			// a rectangle that covers every cell the shard ever filed a
+			// radio in, whose cells hold exactly the members. Safe in every
+			// case: the decode floor, not the grid, is the exact filter.
 			for w, word := range s.members {
 				set[w] |= word
 			}
 			continue
 		}
-		for cy := cy0; cy <= cy1; cy++ {
-			for cx := cx0; cx <= cx1; cx++ {
+		// Cells outside the box are empty: probe only the overlap.
+		for cy := max(rect.y0, s.box.y0); cy <= min(rect.y1, s.box.y1); cy++ {
+			for cx := max(rect.x0, s.box.x0); cx <= min(rect.x1, s.box.x1); cx++ {
 				for _, r := range s.grid[gridKey{cx, cy}] {
 					set[r.idx>>6] |= 1 << (r.idx & 63)
 				}
