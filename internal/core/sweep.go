@@ -41,6 +41,51 @@ func Sweep[P, R any](points []P, fn func(P) R) []R {
 	return results
 }
 
+// First returns the smallest index in [0, n) whose test holds, or n if none
+// does, fanning the indices out across GOMAXPROCS workers. Each worker calls
+// newTest once and hands its test strictly increasing indices (with gaps),
+// so a test may carry state from one index to the next, such as a cracker
+// already fed the samples up to its last index; the outcome at an index must
+// depend on that index alone. Every index below the result is tested exactly
+// once. Indices above it may be tested too, and their outcomes are
+// discarded.
+func First(n int, newTest func() func(int) bool) int {
+	// next is the lowest index no worker has taken, best the lowest success
+	// so far. Indices are taken in ascending order, so once a worker's next
+	// index reaches best, every index below best has been taken, and it
+	// stops.
+	var (
+		mu         sync.Mutex
+		next, best = 0, n
+		wg         sync.WaitGroup
+	)
+	for w := 0; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			test := newTest()
+			for {
+				mu.Lock()
+				i := next
+				if i >= best {
+					mu.Unlock()
+					return
+				}
+				next++
+				mu.Unlock()
+				if test(i) {
+					mu.Lock()
+					best = min(best, i)
+					mu.Unlock()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return best
+}
+
 // Seeds returns n deterministic distinct seeds derived from base, for
 // multi-trial experiments.
 func Seeds(base uint64, n int) []uint64 {

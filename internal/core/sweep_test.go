@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"sync"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestSweepConcurrentWorlds runs more simulation points than GOMAXPROCS so
@@ -50,6 +54,98 @@ func TestSweepConcurrentWorlds(t *testing.T) {
 		for s2, d2 := range bySeed {
 			if s1 != s2 && d1 == d2 {
 				t.Fatalf("seeds %d and %d collided on digest %016x", s1, s2, d1)
+			}
+		}
+	}
+}
+
+// TestFirstMatchesSerialScan drives First over sizes and truth sets at
+// several GOMAXPROCS settings, with per-index busy work of uneven cost so
+// the workers interleave differently from run to run. The result must be
+// the serial scan's, each test must see strictly increasing indices, and
+// every index below the result must be tested exactly once.
+func TestFirstMatchesSerialScan(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2, 5, 64, 300} {
+			type truthSet struct {
+				name  string
+				holds []bool
+			}
+			sets := []truthSet{{"none", make([]bool, n)}}
+			if n > 0 {
+				first, last := make([]bool, n), make([]bool, n)
+				first[0], last[n-1] = true, true
+				sets = append(sets, truthSet{"{0}", first}, truthSet{"{n-1}", last})
+			}
+			// Densities 1/4, 1/16, 1/64 and 1/256 put the first success
+			// anywhere from the first few indices to none at all.
+			for seed := uint64(1); seed <= 4; seed++ {
+				rng := sim.NewRNG(seed)
+				holds := make([]bool, n)
+				for i := range holds {
+					holds[i] = rng.Intn(1<<(2*seed)) == 0
+				}
+				sets = append(sets, truthSet{fmt.Sprintf("random seed %d", seed), holds})
+			}
+			cost := make([]int, n)
+			rng := sim.NewRNG(uint64(n))
+			for i := range cost {
+				cost[i] = rng.Intn(20000)
+			}
+			for _, set := range sets {
+				want := n
+				for i, ok := range set.holds {
+					if ok {
+						want = i
+						break
+					}
+				}
+				var mu sync.Mutex
+				var seen [][]int
+				got := First(n, func() func(int) bool {
+					mu.Lock()
+					seen = append(seen, nil)
+					w := len(seen) - 1
+					mu.Unlock()
+					var mine []int
+					return func(i int) bool {
+						x := uint64(i) + 1
+						for k := 0; k < cost[i]; k++ {
+							x ^= x << 13
+							x ^= x >> 7
+							x ^= x << 17
+						}
+						mine = append(mine, i)
+						mu.Lock()
+						seen[w] = mine
+						mu.Unlock()
+						// x is never 0; reading it keeps the busy work.
+						return set.holds[i] && x != 0
+					}
+				})
+				where := fmt.Sprintf("GOMAXPROCS %d, n %d, truth %s", procs, n, set.name)
+				if got != want {
+					t.Fatalf("%s: First = %d, serial scan = %d", where, got, want)
+				}
+				if len(seen) > procs {
+					t.Fatalf("%s: newTest called %d times for %d procs", where, len(seen), procs)
+				}
+				times := make([]int, n)
+				for w, idx := range seen {
+					for k, i := range idx {
+						if k > 0 && i <= idx[k-1] {
+							t.Fatalf("%s: worker %d saw index %d after %d", where, w, i, idx[k-1])
+						}
+						times[i]++
+					}
+				}
+				for i := 0; i < got; i++ {
+					if times[i] != 1 {
+						t.Fatalf("%s: index %d below the result tested %d times", where, i, times[i])
+					}
+				}
 			}
 		}
 	}

@@ -61,40 +61,63 @@ func E13FirstHopRogue(s Scale) Table {
 			"sessions are keyed by origin pseudonym: the exit never learns the victim's address, only the previous hop's",
 		},
 	}
+	// Every (configuration, seed) trial is its own world with its own
+	// mangle counter, so the trials fan out through one sweep and the rows
+	// are assembled afterwards in point order.
+	type point struct {
+		hostile bool
+		seed    uint64
+	}
+	type out struct {
+		clean                bool
+		e2e, perHop, mangled float64
+		origin               string
+	}
+	var points []point
 	for _, hostile := range []bool{false, true} {
+		for _, seed := range core.Seeds(13, s.trials()) {
+			points = append(points, point{hostile, seed})
+		}
+	}
+	results := core.Sweep(points, func(p point) out {
+		w := overlayWorld(p.seed, "")
+		count := 0
+		if p.hostile {
+			w.OverlayRelay1.MangleForward = func(b []byte) []byte {
+				// The relay sees carrier framing (len||type||body) in the
+				// clear; a selective attacker leaves the handshake alone and
+				// corrupts only sealed records.
+				if len(b) > 3 && (b[2] == vpn.MsgData || b[2] == vpn.MsgKeepalive) {
+					count++
+					if count%3 == 0 {
+						b = append([]byte(nil), b...)
+						b[len(b)/2] ^= 0x40
+					}
+				}
+				return b
+			}
+		}
+		up, res := runOverlayDownload(w)
+		return out{
+			clean: up && res.Clean(),
+			e2e:   float64(w.VPNServer.TamperDetected() + w.VictimVPN.TamperDetected()),
+			perHop: float64(w.OverlayClient.TamperDetected() +
+				w.OverlayRelay1.TamperDetected() + w.OverlayRelay2.TamperDetected() +
+				w.OverlayExit.TamperDetected()),
+			mangled: float64(count / 3),
+			origin:  w.OverlayClient.Name(),
+		}
+	})
+	for i, name := range []string{"honest relay", "hostile relay (mangles records)"} {
 		var cleans []bool
 		var e2e, perHop, mangled []float64
 		var origin string
-		for _, seed := range core.Seeds(13, s.trials()) {
-			w := overlayWorld(seed, "")
-			count := 0
-			if hostile {
-				w.OverlayRelay1.MangleForward = func(b []byte) []byte {
-					// The relay sees carrier framing (len||type||body) in the
-					// clear; a selective attacker leaves the handshake alone
-					// and corrupts only sealed records.
-					if len(b) > 3 && (b[2] == vpn.MsgData || b[2] == vpn.MsgKeepalive) {
-						count++
-						if count%3 == 0 {
-							b = append([]byte(nil), b...)
-							b[len(b)/2] ^= 0x40
-						}
-					}
-					return b
-				}
-			}
-			up, res := runOverlayDownload(w)
-			cleans = append(cleans, up && res.Clean())
-			e2e = append(e2e, float64(w.VPNServer.TamperDetected()+w.VictimVPN.TamperDetected()))
-			perHop = append(perHop, float64(w.OverlayClient.TamperDetected()+
-				w.OverlayRelay1.TamperDetected()+w.OverlayRelay2.TamperDetected()+
-				w.OverlayExit.TamperDetected()))
-			mangled = append(mangled, float64(count/3))
-			origin = w.OverlayClient.Name()
-		}
-		name := "honest relay"
-		if hostile {
-			name = "hostile relay (mangles records)"
+		for _, r := range results[i*s.trials() : (i+1)*s.trials()] {
+			cleans = append(cleans, r.clean)
+			e2e = append(e2e, r.e2e)
+			perHop = append(perHop, r.perHop)
+			mangled = append(mangled, r.mangled)
+			origin = r.origin
 		}
 		t.AddRow(name, pct(core.Fraction(cleans)), fmt.Sprintf("%.1f", core.Mean(e2e)),
 			fmt.Sprintf("%.1f", core.Mean(perHop)), fmt.Sprintf("%.1f", core.Mean(mangled)),

@@ -45,14 +45,8 @@ func E15CampusScale(s Scale) Table {
 		Notes: []string{
 			fmt.Sprintf("campus topology, rogue beside cluster 0, %v simulated per world, mean over trials", e15SimTime.Duration()),
 			"captured = stations on the rogue BSSID; its reach stays one neighborhood, so the rate falls as the campus grows",
-			// "Tracks the neighborhood" holds within two limits (EXPERIMENTS.md,
-			// E15). The gather's search rectangle is ~1.2 km across, so it
-			// prunes little below the 16384-station rung (at 4096 stations
-			// it still gathers 85% of the neighboring channels' radios).
-			// And overlaps are registered
-			// channel-blind with no spatial bound, so overlaps per completion
-			// grow with the campus. The text stays: it is part of E15's golden.
-			"frames/s = medium deliveries per simulated second (sharded: cost per frame tracks the neighborhood, not the campus)",
+			// Both limits are measured in EXPERIMENTS.md (E15).
+			"frames/s = medium deliveries per simulated second (the sharded gather prunes only campuses wider than ~1.2 km, and overlaps register campus-wide, so cost per frame grows with the campus)",
 		},
 	}
 	sizes := e15Sizes(s.Quick)

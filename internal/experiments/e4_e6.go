@@ -126,31 +126,41 @@ func E4FMSCrack(s Scale) Table {
 	return t
 }
 
-// fmsCost feeds weak IVs in random order until the key recovers, returning
-// the number of weak frames consumed.
+// fmsCost feeds weak IVs in random order, 64 at a time, until the key
+// recovers, returning the number of weak frames consumed.
+//
+// The attempt after burst i depends only on the samples fed by then, so
+// core.First tries the bursts on every core: each worker replays the same
+// capture stream into its own cracker up to the burst it is handed, and
+// the first burst whose attempt recovers the key is the one a serial
+// poll-after-every-burst loop stops at.
 func fmsCost(key wep.Key) (int, bool) {
-	c := wep.NewCracker(len(key))
 	ref := wep.Seal(key, wep.IV{200, 1, 1}, 0, []byte("verification frame"))
-	c.Verify = func(k wep.Key) bool {
-		_, err := wep.Open(k, ref)
-		return err == nil
-	}
-	rng := sim.NewRNG(4)
-	// Random order over the weak-IV space, possibly with repeats — like
-	// sniffing a random-IV network, but skipping the strong frames.
-	used := 0
-	for used < len(key)*256*4 {
-		for i := 0; i < 64; i++ {
-			b := rng.Intn(len(key))
-			iv := wep.IV{byte(b + 3), 255, byte(rng.Intn(256))}
-			c.AddSample(wep.Sample{IV: iv, K0: wep.FirstKeystreamByte(key, iv)})
-			used++
+	bursts := len(key) * 256 * 4 / 64
+	first := core.First(bursts, func() func(int) bool {
+		c := wep.NewCracker(len(key))
+		c.Verify = func(k wep.Key) bool {
+			_, err := wep.Open(k, ref)
+			return err == nil
 		}
-		if got, err := c.RecoverKey(); err == nil && bytes.Equal(got, key) {
-			return used, true
+		rng := sim.NewRNG(4)
+		fed := 0
+		return func(burst int) bool {
+			// Random order over the weak-IV space, possibly with repeats —
+			// like sniffing a random-IV network, but skipping the strong
+			// frames.
+			for ; fed <= burst; fed++ {
+				for i := 0; i < 64; i++ {
+					b := rng.Intn(len(key))
+					iv := wep.IV{byte(b + 3), 255, byte(rng.Intn(256))}
+					c.AddSample(wep.Sample{IV: iv, K0: wep.FirstKeystreamByte(key, iv)})
+				}
+			}
+			got, err := c.RecoverKey()
+			return err == nil && bytes.Equal(got, key)
 		}
-	}
-	return used, false
+	})
+	return min(first+1, bursts) * 64, first < bursts
 }
 
 // E6TCPoverTCP (§5.3): the PPP-over-SSH drawback — a TCP-carried tunnel

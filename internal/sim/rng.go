@@ -86,33 +86,12 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponentially distributed value with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Jitter returns a duration uniformly distributed in [0, max).
 func (r *RNG) Jitter(max Time) Time {
 	if max <= 0 {
 		return 0
 	}
 	return Time(r.Uint64() % uint64(max))
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Bytes fills b with random bytes.

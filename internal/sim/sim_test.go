@@ -321,31 +321,6 @@ func TestRNGNormalMoments(t *testing.T) {
 	}
 }
 
-func TestRNGExpMean(t *testing.T) {
-	r := NewRNG(3)
-	n := 50000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	mean := sum / float64(n)
-	if math.Abs(mean-1) > 0.05 {
-		t.Errorf("exp mean = %v", mean)
-	}
-}
-
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(5)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRNGJitterBounds(t *testing.T) {
 	r := NewRNG(5)
 	for i := 0; i < 1000; i++ {

@@ -569,9 +569,13 @@ func e4Burst(rng *sim.RNG, key Key, out []Sample) []Sample {
 // BenchmarkFMSRecover104 replays E4's 104-bit capture stream (sim.NewRNG(4),
 // 64-sample bursts, RecoverKey after each) into a fresh cracker until the key
 // is recovered. It stands for E4's 104-bit job, nearly all of E4, the largest
-// single cost of a paper-suite pass: in a traced seed-1 run (2-vCPU host,
-// Go 1.24) E4 took ~32% of a pass, and ~50% while every search node rebuilt
-// its own vote table.
+// single cost of a paper-suite pass. E4 spreads that job's attempts over
+// every core (core.First), and took 26–28% of the wall time of an E1–E14
+// pass at GOMAXPROCS 2 (three `cmd/experiments` passes, 2-vCPU host,
+// Go 1.24), against 32–44% with the attempts on one core and ~50% while
+// every search node rebuilt its own vote table. The benchmark still times
+// one serial cracker: the attempts' own cost, which core.First spreads but
+// does not shrink.
 func BenchmarkFMSRecover104(b *testing.B) {
 	verify := e4Verify(e4Key)
 	b.ReportAllocs()

@@ -108,16 +108,6 @@ func Open(key Key, sealed []byte) ([]byte, error) {
 	return plaintext, nil
 }
 
-// PeekIV extracts the cleartext IV from a sealed frame.
-func PeekIV(sealed []byte) (IV, error) {
-	var iv IV
-	if len(sealed) < HeaderLen {
-		return iv, ErrShort
-	}
-	copy(iv[:], sealed[:IVLen])
-	return iv, nil
-}
-
 // FlipBits demonstrates WEP's integrity failure: given a sealed frame it
 // XORs delta into the plaintext at offset and fixes up the encrypted ICV so
 // the frame still verifies under Open — without knowing the key. This works

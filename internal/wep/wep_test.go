@@ -159,17 +159,6 @@ func TestQuickSealOpen(t *testing.T) {
 	}
 }
 
-func TestPeekIV(t *testing.T) {
-	sealed := Seal(Key40FromString("SECRET"), IV{7, 8, 9}, 0, []byte("x"))
-	iv, err := PeekIV(sealed)
-	if err != nil || iv != (IV{7, 8, 9}) {
-		t.Fatalf("iv=%v err=%v", iv, err)
-	}
-	if _, err := PeekIV([]byte{1}); err != ErrShort {
-		t.Fatal("short accepted")
-	}
-}
-
 // The paper: "in the attack scenarios we present here [WEP] provides no
 // protection what so ever." One reason: anyone can flip bits without the key.
 func TestFlipBitsForgesValidFrame(t *testing.T) {
