@@ -26,7 +26,11 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "comma-separated experiment ids (e1,e2,e2b,e2c,e2d,e3,e4,e5,e6,e7,e8,e9,e10,e11,e12,e13,e14,e15) or 'all'")
+	ids := make([]string, len(experiments.Registry))
+	for i, e := range experiments.Registry {
+		ids[i] = e.ID
+	}
+	run := flag.String("run", "all", "comma-separated experiment ids ("+strings.Join(ids, ",")+") or 'all'")
 	trials := flag.Int("trials", 5, "trials per sweep point")
 	quick := flag.Bool("quick", false, "reduce the heaviest experiments")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
@@ -69,39 +73,15 @@ func main() {
 	}
 	all := want["all"]
 
-	type exp struct {
-		id string
-		fn func(experiments.Scale) experiments.Table
-	}
-	list := []exp{
-		{"e1", experiments.E1AssociationCapture},
-		{"e2", experiments.E2DownloadMITM},
-		{"e2b", experiments.E2bBoundary},
-		{"e2c", experiments.E2cContentInjection},
-		{"e2d", experiments.E2dHostileHotspot},
-		{"e3", experiments.E3VPNDefense},
-		{"e4", experiments.E4FMSCrack},
-		{"e5", experiments.E5MACFilterBypass},
-		{"e6", experiments.E6TCPoverTCP},
-		{"e7", experiments.E7Detection},
-		{"e8", experiments.E8Eavesdrop},
-		{"e9", experiments.E9Overhead},
-		{"e10", experiments.E10DeauthStorm},
-		{"e11", experiments.E11APOutage},
-		{"e12", experiments.E12BurstLoss},
-		{"e13", experiments.E13FirstHopRogue},
-		{"e14", experiments.E14RelayChainChaos},
-		{"e15", experiments.E15CampusScale},
-	}
 	ran := 0
-	for _, e := range list {
-		if !all && !want[e.id] {
+	for _, e := range experiments.Registry {
+		if !all && !want[e.ID] {
 			continue
 		}
 		start := time.Now()
-		tbl := e.fn(scale)
+		tbl := e.Run(scale)
 		fmt.Println(tbl.String())
-		fmt.Printf("(%s generated in %v)\n\n", e.id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s generated in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		ran++
 	}
 	if ran == 0 {

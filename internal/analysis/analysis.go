@@ -112,7 +112,8 @@ func ruleNames() map[string]bool {
 // deterministicScope reports whether pkg path is part of the simulator's
 // deterministic core, where the wall-clock and global-randomness bans apply.
 // cmd/ and examples/ are presentation layers: they may time their own wall
-// clock (e.g. cmd/wepcrack prints crack duration) without breaking replay.
+// clock (e.g. cmd/experiments prints each table's duration) without breaking
+// replay.
 // Paths without a slash are single-package test fixtures, always in scope.
 func deterministicScope(path string) bool {
 	return strings.Contains(path, "/internal/") || !strings.Contains(path, "/")

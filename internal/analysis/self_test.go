@@ -15,9 +15,9 @@ import (
 // iteration, single-float sort, or unguarded event closure in the tree turns
 // this red.
 //
-// It doubles as the scope test: cmd/wepcrack and cmd/experiments legitimately
-// time their own wall clock, and the run stays clean because walltime and
-// globalrand only apply inside internal/.
+// It doubles as the scope test: cmd/experiments legitimately times its own
+// wall clock, and the run stays clean because walltime and globalrand only
+// apply inside internal/.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks the std closure from source; skipped in -short")

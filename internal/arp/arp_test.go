@@ -56,7 +56,7 @@ func twoHosts(t *testing.T) (*sim.Kernel, *Client, *Client) {
 	k := sim.NewKernel(1)
 	macA := ethernet.MustParseMAC("02:00:00:00:00:01")
 	macB := ethernet.MustParseMAC("02:00:00:00:00:02")
-	pa, pb := ethernet.NewCable(k, macA, macB, ethernet.PortConfig{})
+	pa, pb := ethernet.NewCable(k, macA, macB)
 	ca := NewClient(k, pa, ipA)
 	cb := NewClient(k, pb, ipB)
 	pa.SetReceiver(func(f ethernet.Frame) {
@@ -212,8 +212,8 @@ func TestParproutedBridges(t *testing.T) {
 	ipV := inet.MustParseAddr("10.0.0.3")
 	ipS := inet.MustParseAddr("10.0.0.1")
 
-	victimPort, wlan0 := ethernet.NewCable(k, macV, macW0, ethernet.PortConfig{})
-	eth1, serverPort := ethernet.NewCable(k, macE1, macS, ethernet.PortConfig{})
+	victimPort, wlan0 := ethernet.NewCable(k, macV, macW0)
+	eth1, serverPort := ethernet.NewCable(k, macE1, macS)
 
 	victim := NewClient(k, victimPort, ipV)
 	victimPort.SetReceiver(func(f ethernet.Frame) {
@@ -274,7 +274,7 @@ func TestParproutedDoesNotProxySameSide(t *testing.T) {
 	// must not answer for an address that lives on the asking interface.
 	k := sim.NewKernel(1)
 	var alloc ethernet.MACAllocator
-	sw := ethernet.NewSwitch(k, &alloc, ethernet.SwitchConfig{})
+	sw := ethernet.NewSwitch(k, &alloc)
 
 	mk := func(ip inet.Addr) (*Client, *ethernet.Port) {
 		port := sw.Attach(alloc.Next())
@@ -293,7 +293,7 @@ func TestParproutedDoesNotProxySameSide(t *testing.T) {
 	rec := &routesRecorder{}
 	// Bridge with a second, empty side.
 	k2mac := ethernet.MustParseMAC("02:00:00:00:00:77")
-	other, _ := ethernet.NewCable(k, k2mac, ethernet.MustParseMAC("02:00:00:00:00:78"), ethernet.PortConfig{})
+	other, _ := ethernet.NewCable(k, k2mac, ethernet.MustParseMAC("02:00:00:00:00:78"))
 	gwOther := NewClient(k, other, inet.MustParseAddr("10.0.1.254"))
 	NewParprouted(k, rec, map[string]*Client{"lan": gw, "other": gwOther})
 

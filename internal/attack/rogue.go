@@ -62,10 +62,6 @@ type RogueKitConfig struct {
 	// DefaultGW is Appendix A's "route add default gw 10.0.0.1": the real
 	// network's router, reached through the client-side interface.
 	DefaultGW inet.Addr
-	// PoisonUpstream sends gratuitous ARP on the client side for victim
-	// addresses learned behind the rogue AP, so the real network re-learns
-	// them immediately instead of waiting for cache expiry.
-	PoisonUpstream bool
 }
 
 // RogueKit is the running attacker.
@@ -132,24 +128,24 @@ func NewRogueKit(k *sim.Kernel, medium *phy.Medium, pos phy.Position, cfg RogueK
 		"eth1":  eth1.ARP,
 	})
 
-	if cfg.PoisonUpstream {
-		// Chain onto wlan0's observer (after parprouted's): when a victim
-		// address appears behind the rogue, immediately claim it upstream.
-		prev := wlan0.ARP.Observer
-		wlan0.ARP.Observer = func(p arp.Packet) {
-			if prev != nil {
-				prev(p)
-			}
-			if p.SenderIP.IsUnspecified() || p.SenderIP == cfg.WlanIP || p.SenderIP == cfg.EthIP {
-				return
-			}
-			claim := arp.Packet{
-				Op:       arp.OpRequest, // gratuitous ARP
-				SenderHW: kit.STA.NIC().HWAddr(), SenderIP: p.SenderIP,
-				TargetIP: p.SenderIP,
-			}
-			kit.STA.NIC().SendBuf(ethernet.BroadcastMAC, ethernet.TypeARP, k.BufPool().GetCopy(claim.Marshal()))
+	// Poison upstream: chain onto wlan0's observer (after parprouted's), and
+	// when a victim address appears behind the rogue, claim it on the client
+	// side with a gratuitous ARP, so the real network re-learns it at once
+	// instead of waiting for cache expiry.
+	prev := wlan0.ARP.Observer
+	wlan0.ARP.Observer = func(p arp.Packet) {
+		if prev != nil {
+			prev(p)
 		}
+		if p.SenderIP.IsUnspecified() || p.SenderIP == cfg.WlanIP || p.SenderIP == cfg.EthIP {
+			return
+		}
+		claim := arp.Packet{
+			Op:       arp.OpRequest, // gratuitous ARP
+			SenderHW: kit.STA.NIC().HWAddr(), SenderIP: p.SenderIP,
+			TargetIP: p.SenderIP,
+		}
+		kit.STA.NIC().SendBuf(ethernet.BroadcastMAC, ethernet.TypeARP, k.BufPool().GetCopy(claim.Marshal()))
 	}
 
 	kit.STA.Connect()

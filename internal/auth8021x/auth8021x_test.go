@@ -100,7 +100,7 @@ func TestPortGatePassesAuthorized(t *testing.T) {
 	}
 	// Attach a wired host behind the AP and confirm traffic passes.
 	var alloc ethernet.MACAllocator
-	sw := ethernet.NewSwitch(w.k, &alloc, ethernet.SwitchConfig{})
+	sw := ethernet.NewSwitch(w.k, &alloc)
 	w.ap.AttachUplink(sw.Attach(alloc.Next()))
 	dstMAC := ethernet.MustParseMAC("02:00:00:00:ee:01")
 	port := sw.Attach(dstMAC)

@@ -139,7 +139,7 @@ func newCampusWorld(cfg CampusConfig) (*CampusWorld, error) {
 	for i, p := range topo.STAs {
 		radio := w.Medium.AddRadio(phy.RadioConfig{Name: p.Name, Pos: p.Pos, Channel: 1})
 		sta := dot11.NewSTA(w.Kernel, radio, dot11.STAConfig{
-			MAC: p.MAC, SSID: CampusSSID, // JoinBestRSSI: the rogue's opening
+			MAC: p.MAC, SSID: CampusSSID, // strongest signal wins: the rogue's opening
 		})
 		w.STAs = append(w.STAs, sta)
 		w.staRadios = append(w.staRadios, radio)

@@ -9,22 +9,13 @@ import (
 // GOMAXPROCS workers. Each fn call must be self-contained (typically: build
 // a World from the point's seed, run it, return metrics) — Worlds are
 // single-threaded, so parallelism lives here, across independent worlds.
-// Results are returned in point order.
+// Results are returned in point order. A single worker takes the points in
+// order; no points start no worker.
 func Sweep[P, R any](points []P, fn func(P) R) []R {
 	results := make([]R, len(points))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(points) {
-		workers = len(points)
-	}
-	if workers <= 1 {
-		for i, p := range points {
-			results[i] = fn(p)
-		}
-		return results
-	}
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(runtime.GOMAXPROCS(0), len(points)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

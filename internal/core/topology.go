@@ -20,39 +20,20 @@ import (
 // medium, where delivery cost tracks each transmission's interference
 // neighborhood rather than the station count.
 
-// TopologyKind selects a layout generator.
+// TopologyKind names a layout generator.
 type TopologyKind int
 
-// Layout generators.
-const (
-	// TopoCampus: a wide AP grid (55 m pitch) with loose station clusters
-	// and a mixed traffic profile — the outdoor quad the paper's rogue
-	// walks into.
-	TopoCampus TopologyKind = iota
-	// TopoOffice: a dense AP grid (25 m pitch) with tight clusters and
-	// mostly light, steady traffic.
-	TopoOffice
-	// TopoStadium: APs on a ring with packed clusters and a bursty-heavy
-	// traffic mix.
-	TopoStadium
-)
+// TopoCampus is the only generator: a wide AP grid (55 m pitch) with loose
+// station clusters and a mixed traffic profile — the outdoor quad the
+// paper's rogue walks into.
+const TopoCampus TopologyKind = 0
 
 // String names the kind.
 func (k TopologyKind) String() string {
-	switch k {
-	case TopoCampus:
+	if k == TopoCampus {
 		return "campus"
-	case TopoOffice:
-		return "office"
-	case TopoStadium:
-		return "stadium"
 	}
 	return fmt.Sprintf("TopologyKind(%d)", int(k))
-}
-
-// TopologyKinds lists every generator, for fuzzing and sweeps.
-func TopologyKinds() []TopologyKind {
-	return []TopologyKind{TopoCampus, TopoOffice, TopoStadium}
 }
 
 // TrafficClass is a station's offered-load profile; the campus world maps it
@@ -94,13 +75,6 @@ type TopologyConfig struct {
 	APs int
 	// STAs is the station count (clamped to 1<<20).
 	STAs int
-	// APSpacingM overrides the kind's AP pitch in metres. Values outside
-	// [1, 10000] (including NaN/Inf) fall back to the kind default — the
-	// generator must yield a valid layout for arbitrary inputs.
-	APSpacingM float64
-	// JoinWindow staggers station Connect times uniformly over [0,
-	// JoinWindow) so a campus does not scan in lockstep (default 2 s).
-	JoinWindow sim.Time
 }
 
 // APPlacement is one generated access point.
@@ -142,23 +116,16 @@ const (
 // channelPlan is the classic non-overlapping 802.11b plan.
 var channelPlan = [3]phy.Channel{1, 6, 11}
 
-// kindParams returns the AP pitch, station cluster radius, and the traffic
-// mix (probability of idle and bursty; the rest is light) for a kind.
-func kindParams(k TopologyKind) (spacing, radius, pIdle, pBursty float64) {
-	switch k {
-	case TopoOffice:
-		return 25, 10, 0.10, 0.10
-	case TopoStadium:
-		return 40, 12, 0.10, 0.60
-	default: // TopoCampus
-		return 55, 19, 0.20, 0.20
-	}
-}
-
-// maxClusterRadiusM caps the station cluster radius whatever the AP pitch:
-// at default power and path loss, 45 m from the home AP still clears
-// minClientSNRDB with margin, so every generated layout stays connected.
-const maxClusterRadiusM = 45
+// The campus layout: the AP pitch and station cluster radius in metres, the
+// traffic mix (the share of idle and of bursty stations; the rest is
+// light), and the window over which station Connect times are staggered so
+// a campus does not scan in lockstep.
+const (
+	apPitchM       = 55
+	clusterRadiusM = 19
+	pIdle, pBursty = 0.20, 0.20
+	joinWindow     = 2 * sim.Second
+)
 
 // GenerateTopology builds a layout from the config. The result is
 // deterministic in the config and always passes Validate.
@@ -175,49 +142,22 @@ func GenerateTopology(cfg TopologyConfig) *Topology {
 	if cfg.STAs > maxTopoSTAs {
 		cfg.STAs = maxTopoSTAs
 	}
-	if cfg.JoinWindow <= 0 {
-		cfg.JoinWindow = 2 * sim.Second
-	}
-	spacing, radius, pIdle, pBursty := kindParams(cfg.Kind)
-	if s := cfg.APSpacingM; s >= 1 && s <= 10000 { // rejects NaN/Inf too
-		spacing = s
-		if radius > spacing*0.35 {
-			radius = spacing * 0.35
-		}
-	}
-	if radius > maxClusterRadiusM {
-		radius = maxClusterRadiusM
-	}
 
 	rng := sim.NewRNG(cfg.Seed)
 	t := &Topology{Kind: cfg.Kind, Seed: cfg.Seed}
 
-	switch cfg.Kind {
-	case TopoStadium:
-		// APs on a ring whose circumference keeps roughly the configured
-		// arc pitch; channel plan cycles around the ring.
-		n := cfg.APs
-		r := spacing * float64(n) / (2 * math.Pi)
-		if r < spacing {
-			r = spacing
-		}
-		for i := 0; i < n; i++ {
-			th := 2 * math.Pi * float64(i) / float64(n)
-			t.APs = append(t.APs, apPlacement(i,
-				phy.Position{X: r * math.Cos(th), Y: r * math.Sin(th)},
-				channelPlan[i%3]))
-		}
-	default:
-		// Square-ish grid, row-major. The (row + 2·col) mod 3 coloring
-		// gives every AP different plan channels than its four grid
-		// neighbours, so co-channel cells are at least two pitches apart.
-		cols := int(math.Ceil(math.Sqrt(float64(cfg.APs))))
-		for i := 0; i < cfg.APs; i++ {
-			row, col := i/cols, i%cols
-			t.APs = append(t.APs, apPlacement(i,
-				phy.Position{X: float64(col) * spacing, Y: float64(row) * spacing},
-				channelPlan[(row+2*col)%3]))
-		}
+	// Square-ish grid, row-major. The (row + 2·col) mod 3 coloring gives
+	// every AP different plan channels than its four grid neighbours, so
+	// co-channel cells are at least two pitches apart.
+	cols := int(math.Ceil(math.Sqrt(float64(cfg.APs))))
+	for i := 0; i < cfg.APs; i++ {
+		row, col := i/cols, i%cols
+		t.APs = append(t.APs, APPlacement{
+			Name:    fmt.Sprintf("ap%02d", i),
+			BSSID:   campusAPMAC(i),
+			Pos:     phy.Position{X: float64(col) * apPitchM, Y: float64(row) * apPitchM},
+			Channel: channelPlan[(row+2*col)%3],
+		})
 	}
 
 	for i := 0; i < cfg.STAs; i++ {
@@ -225,7 +165,7 @@ func GenerateTopology(cfg TopologyConfig) *Topology {
 		// scatters members uniformly over the cluster disc.
 		home := i % cfg.APs
 		c := t.APs[home].Pos
-		r := radius * math.Sqrt(rng.Float64())
+		r := clusterRadiusM * math.Sqrt(rng.Float64())
 		th := 2 * math.Pi * rng.Float64()
 		var traffic TrafficClass
 		switch u := rng.Float64(); {
@@ -242,19 +182,10 @@ func GenerateTopology(cfg TopologyConfig) *Topology {
 			Pos:     phy.Position{X: c.X + r*math.Cos(th), Y: c.Y + r*math.Sin(th)},
 			Home:    home,
 			Traffic: traffic,
-			JoinAt:  rng.Jitter(cfg.JoinWindow),
+			JoinAt:  rng.Jitter(joinWindow),
 		})
 	}
 	return t
-}
-
-func apPlacement(i int, pos phy.Position, ch phy.Channel) APPlacement {
-	return APPlacement{
-		Name:    fmt.Sprintf("ap%02d", i),
-		BSSID:   campusAPMAC(i),
-		Pos:     pos,
-		Channel: ch,
-	}
 }
 
 // campusAPMAC derives a locally-administered BSSID from the AP index. The

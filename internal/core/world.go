@@ -57,11 +57,6 @@ const (
 	RogueChannel phy.Channel = 6
 )
 
-// overlayKeepalive is the per-link DPD probe interval of the mesh links
-// (Config.Overlay). The links always need liveness: a partitioned relay
-// produces silence, not a TCP reset.
-const overlayKeepalive = sim.Second
-
 // Config selects what to build. The zero value is a healthy network: CORP AP
 // on channel 1, a victim, a router, and the target web site — no attacker.
 type Config struct {
@@ -79,8 +74,6 @@ type Config struct {
 	// MACFilter restricts the real AP to the victim's (and, if cloned,
 	// the attacker's) MAC.
 	MACFilter bool
-	// SharedKeyAuth makes stations use WEP shared-key authentication.
-	SharedKeyAuth bool
 
 	// Geometry (defaults: AP at origin, victim 20 m away, rogue 5 m from
 	// the victim).
@@ -217,8 +210,8 @@ func newWorld(cfg Config) (*World, error) {
 	w.Kernel.SetInvariantChecks(cfg.Checks)
 	w.Medium = phy.NewMedium(w.Kernel, phy.Config{ShadowingSigmaDB: cfg.ShadowingSigmaDB})
 
-	w.CorpSwitch = ethernet.NewSwitch(w.Kernel, &w.Alloc, ethernet.SwitchConfig{})
-	w.BackboneSwitch = ethernet.NewSwitch(w.Kernel, &w.Alloc, ethernet.SwitchConfig{})
+	w.CorpSwitch = ethernet.NewSwitch(w.Kernel, &w.Alloc)
+	w.BackboneSwitch = ethernet.NewSwitch(w.Kernel, &w.Alloc)
 
 	// --- The real AP: wireless BSS bridged onto the corp switch. ---
 	var acl []ethernet.MAC
@@ -261,7 +254,7 @@ func newWorld(cfg Config) (*World, error) {
 		w.VPNHost.IP.Forwarding = true
 		w.VPNHost.AttachWired(w.BackboneSwitch, &w.Alloc, "eth0", VPNEndpointIP, BackbonePrefix)
 		w.VPNHost.IP.AddDefaultRoute(RouterBackbone, "eth0")
-		sCfg := vpn.ServerConfig{PSK: w.vpnPSK(), Carrier: cfg.VPNCarrier}
+		sCfg := vpn.ServerConfig{PSK: w.vpnPSK()}
 		var err error
 		switch {
 		case cfg.Overlay:
@@ -347,18 +340,9 @@ func (w *World) installFaults() error {
 // vpnPSK is the preestablished out-of-band secret.
 func (w *World) vpnPSK() []byte { return []byte("corp-vpn-preshared-secret") }
 
-// overlayNodeConfig builds one mesh node's config with the world's shared
-// link parameters. Snappy link healing (1 s probes, 3 s silence budget,
-// 500 ms–8 s backoff) keeps relay failover well inside the tunnel-level DPD
-// budget the scenarios use.
+// overlayNodeConfig builds one mesh node's config.
 func (w *World) overlayNodeConfig(name string, role vpn.Role, advertise []inet.Prefix) vpn.NodeConfig {
-	return vpn.NodeConfig{
-		Name: name, Role: role, PSK: w.vpnPSK(), Advertise: advertise,
-		Keepalive:        overlayKeepalive,
-		HandshakeTimeout: 2 * sim.Second,
-		BackoffBase:      500 * sim.Millisecond,
-		BackoffMax:       8 * sim.Second,
-	}
+	return vpn.NodeConfig{Name: name, Role: role, PSK: w.vpnPSK(), Advertise: advertise}
 }
 
 // buildOverlayMesh stands up the relay hosts and overlay nodes: an exit on
@@ -399,12 +383,11 @@ func (w *World) buildOverlayMesh(sCfg vpn.ServerConfig) {
 }
 
 // newWirelessHost joins a station to the corp ESS the way client firmware
-// does: JoinBestRSSI, the behaviour the rogue exploits.
+// does: it takes the strongest signal, the behaviour the rogue exploits.
 func (w *World) newWirelessHost(name string, mac ethernet.MAC, ip inet.Addr, pos phy.Position) *WirelessHost {
 	radio := w.Medium.AddRadio(phy.RadioConfig{Name: name, Pos: pos, Channel: 1})
 	sta := dot11.NewSTA(w.Kernel, radio, dot11.STAConfig{
 		MAC: mac, SSID: CorpSSID, WEPKey: w.Cfg.WEPKey,
-		SharedKeyAuth: w.Cfg.SharedKeyAuth, JoinPolicy: dot11.JoinBestRSSI,
 	})
 	h := &WirelessHost{Host: newHost(w.Kernel, name), STA: sta, Radio: radio}
 	h.IP.AddIface("wlan0", sta.NIC(), ip, CorpPrefix)
@@ -425,16 +408,15 @@ func (w *World) buildRogue() {
 		staMAC = RogueSTAMAC
 	}
 	w.Rogue = attack.NewRogueKit(w.Kernel, w.Medium, cfg.RoguePos, attack.RogueKitConfig{
-		SSID:           CorpSSID,
-		CloneBSSID:     bssid,
-		Channel:        RogueChannel,
-		WEPKey:         cfg.WEPKey,
-		StationMAC:     staMAC,
-		WlanIP:         RogueWlan,
-		EthIP:          RogueEth,
-		Prefix:         CorpPrefix,
-		DefaultGW:      RouterCorp,
-		PoisonUpstream: true,
+		SSID:       CorpSSID,
+		CloneBSSID: bssid,
+		Channel:    RogueChannel,
+		WEPKey:     cfg.WEPKey,
+		StationMAC: staMAC,
+		WlanIP:     RogueWlan,
+		EthIP:      RogueEth,
+		Prefix:     CorpPrefix,
+		DefaultGW:  RouterCorp,
 	})
 	if !cfg.RoguePureRelay {
 		w.startMITM(w.Rogue.IP, w.Rogue.TCP, RogueWlan)
@@ -504,7 +486,6 @@ func (w *World) EnableVictimVPN(split []inet.Prefix, done func(err error)) {
 	cfg := vpn.ClientConfig{
 		PSK:                 w.vpnPSK(),
 		Server:              inet.HostPort{Addr: VPNEndpointIP, Port: vpn.DefaultPort},
-		Carrier:             w.Cfg.VPNCarrier,
 		SplitTunnelPrefixes: split,
 		Keepalive:           w.Cfg.VPNKeepalive,
 	}

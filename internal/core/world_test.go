@@ -40,7 +40,7 @@ func TestHealthyWorldCleanDownload(t *testing.T) {
 }
 
 func TestHealthyWorldWithWEP(t *testing.T) {
-	w := NewWorld(Config{Seed: 1, WEPKey: wep.Key40FromString("SECRET"), SharedKeyAuth: true})
+	w := NewWorld(Config{Seed: 1, WEPKey: wep.Key40FromString("SECRET")})
 	w.VictimConnect()
 	w.Run(settleTime)
 	var res DownloadResult

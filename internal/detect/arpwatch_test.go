@@ -67,7 +67,7 @@ func TestArpwatchCatchesRoguePoisoning(t *testing.T) {
 
 	// Wired side: switch with a router host and the arpwatch sensor.
 	var alloc ethernet.MACAllocator
-	sw := ethernet.NewSwitch(k, &alloc, ethernet.SwitchConfig{})
+	sw := ethernet.NewSwitch(k, &alloc)
 	prefix := inet.MustParsePrefix("10.0.0.0/24")
 	routerIP := inet.MustParseAddr("10.0.0.1")
 	router := ipv4.NewStack(k, "router")
@@ -108,12 +108,11 @@ func TestArpwatchCatchesRoguePoisoning(t *testing.T) {
 	// The attack: rogue kit + deauth forcing.
 	attack.NewRogueKit(k, m, phy.Position{X: 42, Y: 0}, attack.RogueKitConfig{
 		SSID: "CORP", CloneBSSID: corpBSSID, Channel: 6, WEPKey: key,
-		StationMAC:     ethernet.MustParseMAC("02:00:00:00:66:01"),
-		WlanIP:         inet.MustParseAddr("10.0.0.201"),
-		EthIP:          inet.MustParseAddr("10.0.0.200"),
-		Prefix:         prefix,
-		DefaultGW:      routerIP,
-		PoisonUpstream: true,
+		StationMAC: ethernet.MustParseMAC("02:00:00:00:66:01"),
+		WlanIP:     inet.MustParseAddr("10.0.0.201"),
+		EthIP:      inet.MustParseAddr("10.0.0.200"),
+		Prefix:     prefix,
+		DefaultGW:  routerIP,
 	})
 	k.RunUntil(k.Now() + 5*sim.Second)
 	d := attack.NewDeauther(k, m, phy.Position{X: 41, Y: 0}, 1)

@@ -295,24 +295,6 @@ func TestStrongestAPWinsAssociation(t *testing.T) {
 	}
 }
 
-func TestPinnedBSSIDFollowsClone(t *testing.T) {
-	// BSSID pinning does not defend against a BSSID-cloning rogue.
-	k := sim.NewKernel(1)
-	m := phy.NewMedium(k, phy.Config{})
-	bssid := ethernet.MustParseMAC("02:00:00:00:0f:aa")
-	// Only the rogue is on the air (real AP out of range/jammed), but it
-	// clones the pinned BSSID on another channel.
-	NewAP(k, m.AddRadio(phy.RadioConfig{Name: "rogue", Pos: phy.Position{X: 5, Y: 0}, Channel: 6}),
-		APConfig{SSID: "CORP", BSSID: bssid, Channel: 6})
-	st := NewSTA(k, m.AddRadio(phy.RadioConfig{Name: "sta", Pos: phy.Position{X: 0, Y: 0}, Channel: 1}),
-		STAConfig{MAC: macSTA, SSID: "CORP", JoinPolicy: JoinPinnedBSSID, PinnedBSSID: bssid})
-	st.Connect()
-	k.RunUntil(5 * sim.Second)
-	if st.State() != StateAssociated || st.BSS().Channel != 6 {
-		t.Fatalf("pinned client did not join the cloned BSSID (state %v, ch %v)", st.State(), st.BSS().Channel)
-	}
-}
-
 func TestScanFindsAPOnEveryChannel(t *testing.T) {
 	for _, ch := range []phy.Channel{1, 6, 11} {
 		w := newWorld(t, APConfig{Channel: ch}, STAConfig{})
@@ -331,7 +313,7 @@ func TestAPBridgesToUplink(t *testing.T) {
 	w := newWorld(t, APConfig{}, STAConfig{})
 	// Wire the AP into a switch with a server behind it.
 	var alloc ethernet.MACAllocator
-	sw := ethernet.NewSwitch(w.k, &alloc, ethernet.SwitchConfig{})
+	sw := ethernet.NewSwitch(w.k, &alloc)
 	apPort := sw.Attach(alloc.Next())
 	w.ap.AttachUplink(apPort)
 	serverMAC := ethernet.MustParseMAC("02:00:00:00:ee:01")
@@ -360,7 +342,7 @@ func TestAPBridgesToUplink(t *testing.T) {
 func TestBroadcastFromStationReachesEverything(t *testing.T) {
 	w := newWorld(t, APConfig{}, STAConfig{})
 	var alloc ethernet.MACAllocator
-	sw := ethernet.NewSwitch(w.k, &alloc, ethernet.SwitchConfig{})
+	sw := ethernet.NewSwitch(w.k, &alloc)
 	apPort := sw.Attach(alloc.Next())
 	w.ap.AttachUplink(apPort)
 	wiredPort := sw.Attach(ethernet.MustParseMAC("02:00:00:00:ee:02"))

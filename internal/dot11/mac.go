@@ -292,7 +292,6 @@ type BSS struct {
 	RSSIDBm        float64
 	Capability     uint16
 	BeaconInterval uint16 // TU
-	LastSeen       sim.Time
 }
 
 // Privacy reports whether the BSS requires WEP.

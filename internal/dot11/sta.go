@@ -11,23 +11,6 @@ import (
 	"repro/internal/wep"
 )
 
-// JoinPolicy selects among candidate BSSes after a scan.
-type JoinPolicy int
-
-// Join policies.
-const (
-	// JoinBestRSSI picks the strongest signal for the configured SSID —
-	// what real client firmware does, and the behaviour the rogue AP
-	// exploits by simply being closer or louder (experiment E1).
-	JoinBestRSSI JoinPolicy = iota
-	// JoinFirstSeen takes the first matching BSS discovered.
-	JoinFirstSeen
-	// JoinPinnedBSSID only joins the configured BSSID. Note that this is
-	// NOT a defense against the paper's attack: the rogue clones the BSSID
-	// (Figure 1 shows both APs as AA:BB:CC:DD).
-	JoinPinnedBSSID
-)
-
 // scanKey identifies a scan-cache entry: BSSIDs are not unique when a rogue
 // clones one, but (BSSID, channel) pairs are distinguishable to a scanner.
 type scanKey struct {
@@ -72,9 +55,6 @@ type STAConfig struct {
 	// SharedKeyAuth is set).
 	WEPKey        wep.Key
 	SharedKeyAuth bool
-	JoinPolicy    JoinPolicy
-	// PinnedBSSID is required by JoinPinnedBSSID.
-	PinnedBSSID ethernet.MAC
 	// ExcludeBSS, when set, rejects candidate BSSes during selection. The
 	// attacker's client card uses it to avoid associating to its own
 	// rogue AP (which advertises the same SSID and cloned BSSID).
@@ -82,15 +62,18 @@ type STAConfig struct {
 	// AutoReconnect rescans after any disconnect (default true via
 	// NewSTA; set DisableReconnect to turn off).
 	DisableReconnect bool
-	// ReconnectBackoffBase is the delay before the first retry after a
-	// failed attempt or a disconnect (default 250 ms). Each consecutive
-	// failure doubles the delay up to ReconnectBackoffMax (default 8 s),
-	// plus uniform jitter of half the current step so colliding clients
-	// desynchronise. A completed association resets the ladder. Without
-	// this a deauth storm livelocks the client in a tight scan loop.
-	ReconnectBackoffBase sim.Time
-	ReconnectBackoffMax  sim.Time
 }
+
+// The reconnect ladder: the first retry after a failed attempt or a
+// disconnect waits reconnectBackoffBase, and each consecutive failure
+// doubles the delay up to reconnectBackoffMax, plus uniform jitter of half
+// the current step so colliding clients desynchronise. A completed
+// association resets the ladder. Without it a deauth storm livelocks the
+// client in a tight scan loop.
+const (
+	reconnectBackoffBase = 250 * sim.Millisecond
+	reconnectBackoffMax  = 8 * sim.Second
+)
 
 // Scan and link-loss timing: a scan listens scanDwellTU on each channel,
 // just over a beacon interval, and an associated station disconnects after
@@ -140,12 +123,6 @@ type STA struct {
 
 // NewSTA creates a station (idle; call Connect to join a network).
 func NewSTA(k *sim.Kernel, radio *phy.Radio, cfg STAConfig) *STA {
-	if cfg.ReconnectBackoffBase == 0 {
-		cfg.ReconnectBackoffBase = 250 * sim.Millisecond
-	}
-	if cfg.ReconnectBackoffMax == 0 {
-		cfg.ReconnectBackoffMax = 8 * sim.Second
-	}
 	// Sequential IVs, as the AP draws them.
 	var ivs wep.IVSource = &wep.SequentialIV{}
 	if k.InvariantChecksEnabled() && len(cfg.WEPKey) > 0 {
@@ -232,12 +209,12 @@ func (s *STA) retry() {
 }
 
 func (s *STA) backoffDelay() sim.Time {
-	step := s.cfg.ReconnectBackoffBase
-	for i := 1; i < s.backoffN && step < s.cfg.ReconnectBackoffMax; i++ {
+	step := reconnectBackoffBase
+	for i := 1; i < s.backoffN && step < reconnectBackoffMax; i++ {
 		step *= 2
 	}
-	if step > s.cfg.ReconnectBackoffMax {
-		step = s.cfg.ReconnectBackoffMax
+	if step > reconnectBackoffMax {
+		step = reconnectBackoffMax
 	}
 	return step + s.rng.Jitter(step/2)
 }
@@ -273,8 +250,11 @@ func (s *STA) finishScan() {
 	s.join(best)
 }
 
-// pickBSS applies the join policy to scan results. Candidates are compared
-// in sorted (BSSID, channel) order so that ties — e.g. a cloned BSSID at the
+// pickBSS takes the strongest matching BSS from the scan results, as real
+// client firmware does: the behaviour the rogue AP exploits by simply being
+// closer or louder (experiment E1). A BSSID pinned by the client would not
+// help, since the rogue clones it (Figure 1 shows both APs as AA:BB:CC:DD).
+// Candidates are compared in sorted (BSSID, channel) order so that ties — e.g. a cloned BSSID at the
 // exact same RSSI — resolve the same way every run, keeping the simulation a
 // pure function of the seed rather than of map iteration order.
 func (s *STA) pickBSS() (BSS, bool) {
@@ -296,25 +276,11 @@ func (s *STA) pickBSS() (BSS, bool) {
 		if b.SSID != s.cfg.SSID {
 			continue
 		}
-		if s.cfg.JoinPolicy == JoinPinnedBSSID && b.BSSID != s.cfg.PinnedBSSID {
-			continue
-		}
 		if s.cfg.ExcludeBSS != nil && s.cfg.ExcludeBSS(b) {
 			continue
 		}
-		if !found {
+		if !found || b.RSSIDBm > best.RSSIDBm {
 			best, found = b, true
-			continue
-		}
-		switch s.cfg.JoinPolicy {
-		case JoinBestRSSI, JoinPinnedBSSID:
-			if b.RSSIDBm > best.RSSIDBm {
-				best = b
-			}
-		case JoinFirstSeen:
-			if b.LastSeen < best.LastSeen {
-				best = b
-			}
 		}
 	}
 	return best, found
@@ -387,7 +353,6 @@ func (s *STA) onManagement(f Frame, info phy.RxInfo) {
 					RSSIDBm:        info.RSSIDBm,
 					Capability:     body.Capability,
 					BeaconInterval: body.BeaconInterval,
-					LastSeen:       s.kernel.Now(),
 				}
 			}
 		case StateAssociated:

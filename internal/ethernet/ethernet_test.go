@@ -136,7 +136,7 @@ func send(p *Port, dst MAC, t EtherType, payload []byte) {
 func testPair(t *testing.T) (*sim.Kernel, *Port, *Port) {
 	t.Helper()
 	k := sim.NewKernel(1)
-	a, b := NewCable(k, MustParseMAC("02:00:00:00:00:01"), MustParseMAC("02:00:00:00:00:02"), PortConfig{})
+	a, b := NewCable(k, MustParseMAC("02:00:00:00:00:01"), MustParseMAC("02:00:00:00:00:02"))
 	return k, a, b
 }
 
@@ -190,14 +190,14 @@ func TestCableBroadcastDelivered(t *testing.T) {
 
 func TestCableSerialisationDelay(t *testing.T) {
 	k := sim.NewKernel(1)
-	// 8 Mb/s: a 1000-byte payload (1014B frame) takes 1014 µs + 1 µs prop.
-	a, b := NewCable(k, MustParseMAC("02:00:00:00:00:01"), MustParseMAC("02:00:00:00:00:02"),
-		PortConfig{BitsPerSec: 8e6})
+	// 100 Mb/s, 10 ns a bit: a 1000-byte payload (1014B frame) takes
+	// 81.12 µs + 1 µs prop.
+	a, b := NewCable(k, MustParseMAC("02:00:00:00:00:01"), MustParseMAC("02:00:00:00:00:02"))
 	var at sim.Time
 	b.SetReceiver(func(f Frame) { at = k.Now() })
 	send(a, b.HWAddr(), TypeIPv4, make([]byte, 1000))
 	k.Run()
-	want := sim.Time(1014)*sim.Microsecond + sim.Microsecond
+	want := sim.Time(1014*8)*10*sim.Nanosecond + sim.Microsecond
 	if at != want {
 		t.Fatalf("delivered at %v, want %v", at, want)
 	}
@@ -205,18 +205,17 @@ func TestCableSerialisationDelay(t *testing.T) {
 
 func TestCableBackToBackFramesSerialise(t *testing.T) {
 	k := sim.NewKernel(1)
-	a, b := NewCable(k, MustParseMAC("02:00:00:00:00:01"), MustParseMAC("02:00:00:00:00:02"),
-		PortConfig{BitsPerSec: 8e6})
+	a, b := NewCable(k, MustParseMAC("02:00:00:00:00:01"), MustParseMAC("02:00:00:00:00:02"))
 	var times []sim.Time
 	b.SetReceiver(func(f Frame) { times = append(times, k.Now()) })
-	send(a, b.HWAddr(), TypeIPv4, make([]byte, 986)) // 1000B frame = 1ms at 8Mb/s
+	send(a, b.HWAddr(), TypeIPv4, make([]byte, 986)) // 1000B frame = 80µs at 100Mb/s
 	send(a, b.HWAddr(), TypeIPv4, make([]byte, 986))
 	k.Run()
 	if len(times) != 2 {
 		t.Fatalf("delivered %d frames", len(times))
 	}
-	if gap := times[1] - times[0]; gap != sim.Millisecond {
-		t.Fatalf("inter-frame gap %v, want 1ms (serialisation)", gap)
+	if gap := times[1] - times[0]; gap != 80*sim.Microsecond {
+		t.Fatalf("inter-frame gap %v, want 80µs (serialisation)", gap)
 	}
 }
 
@@ -310,7 +309,7 @@ func TestCableDropsOversize(t *testing.T) {
 func TestSwitchLearnsAndForwards(t *testing.T) {
 	k := sim.NewKernel(1)
 	var alloc MACAllocator
-	sw := NewSwitch(k, &alloc, SwitchConfig{})
+	sw := NewSwitch(k, &alloc)
 	macA, macB, macC := alloc.Next(), alloc.Next(), alloc.Next()
 	pa := sw.Attach(macA)
 	pb := sw.Attach(macB)
@@ -350,7 +349,7 @@ func TestSwitchUnicastIsolation(t *testing.T) {
 	// other hosts' unicast traffic once the switch has learned addresses.
 	k := sim.NewKernel(1)
 	var alloc MACAllocator
-	sw := NewSwitch(k, &alloc, SwitchConfig{})
+	sw := NewSwitch(k, &alloc)
 	macA, macB, macSniffer := alloc.Next(), alloc.Next(), alloc.Next()
 	pa := sw.Attach(macA)
 	pb := sw.Attach(macB)
@@ -382,7 +381,7 @@ func TestSwitchUnicastIsolation(t *testing.T) {
 func TestSwitchBroadcastFloods(t *testing.T) {
 	k := sim.NewKernel(1)
 	var alloc MACAllocator
-	sw := NewSwitch(k, &alloc, SwitchConfig{})
+	sw := NewSwitch(k, &alloc)
 	ports := make([]*Port, 4)
 	rx := make([]int, 4)
 	for i := range ports {
@@ -400,7 +399,7 @@ func TestSwitchBroadcastFloods(t *testing.T) {
 func TestSwitchAging(t *testing.T) {
 	k := sim.NewKernel(1)
 	var alloc MACAllocator
-	sw := NewSwitch(k, &alloc, SwitchConfig{Aging: sim.Second})
+	sw := NewSwitch(k, &alloc)
 	macA, macB := alloc.Next(), alloc.Next()
 	pa := sw.Attach(macA)
 	sw.Attach(macB)
@@ -409,7 +408,8 @@ func TestSwitchAging(t *testing.T) {
 	if _, ok := sw.LookupPort(macA); !ok {
 		t.Fatal("A not learned")
 	}
-	k.RunUntil(k.Now() + 2*sim.Second)
+	// Entries live for the 5-minute aging time.
+	k.RunUntil(k.Now() + switchAging + sim.Second)
 	if _, ok := sw.LookupPort(macA); ok {
 		t.Fatal("A not aged out")
 	}
@@ -418,7 +418,7 @@ func TestSwitchAging(t *testing.T) {
 func TestHubRepeatsToAll(t *testing.T) {
 	k := sim.NewKernel(1)
 	var alloc MACAllocator
-	hub := NewHub(k, &alloc, PortConfig{})
+	hub := NewHub(k, &alloc)
 	macA, macB := alloc.Next(), alloc.Next()
 	pa := hub.Attach(macA)
 	pb := hub.Attach(macB)

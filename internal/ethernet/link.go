@@ -13,8 +13,6 @@ type Port struct {
 	kernel *sim.Kernel
 	mac    MAC
 	peer   *Port // other end of the cable
-	// bitsPerSec is the cable's rate, shared by both directions.
-	bitsPerSec float64
 	// busyUntil serialises transmissions in this direction.
 	busyUntil sim.Time
 	// wire holds the frames in flight to the peer in send order, the next
@@ -63,25 +61,17 @@ func (p *Port) SetFaults(fp *FaultProfile) { p.faults = fp }
 // installers use it to cover both directions of a link.
 func (p *Port) Peer() *Port { return p.peer }
 
-// PortConfig configures one cable. A zero BitsPerSec means 100 Mb/s.
-type PortConfig struct {
-	BitsPerSec float64
-}
-
-func (c *PortConfig) fill() {
-	if c.BitsPerSec == 0 {
-		c.BitsPerSec = 100e6
-	}
-}
-
-// propDelay is every cable's propagation delay.
-const propDelay = sim.Microsecond
+// Every cable's rate in each direction (100 Mb/s Fast Ethernet) and its
+// propagation delay.
+const (
+	bitsPerSec = 100e6
+	propDelay  = sim.Microsecond
+)
 
 // NewCable creates two connected ports (a point-to-point full-duplex cable).
-func NewCable(k *sim.Kernel, macA, macB MAC, cfg PortConfig) (*Port, *Port) {
-	cfg.fill()
-	a := &Port{kernel: k, mac: macA, bitsPerSec: cfg.BitsPerSec}
-	b := &Port{kernel: k, mac: macB, bitsPerSec: cfg.BitsPerSec}
+func NewCable(k *sim.Kernel, macA, macB MAC) (*Port, *Port) {
+	a := &Port{kernel: k, mac: macA}
+	b := &Port{kernel: k, mac: macB}
 	a.peer, b.peer = b, a
 	a.arriveFn, b.arriveFn = a.arrive, b.arrive
 	return a, b
@@ -160,7 +150,7 @@ func (p *Port) xmit(f Frame, pb *pkt.Buf) {
 //
 //simvet:owner transfer pb joins the in-flight queue, which arrive hands to the peer's deliver
 func (p *Port) transmit(f Frame, pb *pkt.Buf) {
-	txTime := sim.Time(math.Round(float64(f.WireLen()*8) / p.bitsPerSec * float64(sim.Second)))
+	txTime := sim.Time(math.Round(float64(f.WireLen()*8) / bitsPerSec * float64(sim.Second)))
 	start := p.kernel.Now()
 	if p.busyUntil > start {
 		start = p.busyUntil

@@ -14,10 +14,8 @@ import (
 type Switch struct {
 	kernel   *sim.Kernel
 	macAlloc *MACAllocator
-	cfg      PortConfig
 	ports    []*Port // switch-side port of each cable
 	table    map[MAC]tableEntry
-	aging    sim.Time
 
 	// FloodedFrames counts frames sent out all ports (unknown dst or
 	// broadcast); ForwardedFrames counts learned unicast forwards.
@@ -30,32 +28,18 @@ type tableEntry struct {
 	lastSeen sim.Time
 }
 
-// SwitchConfig configures a Switch.
-type SwitchConfig struct {
-	Port PortConfig
-	// Aging is how long a learned MAC stays valid without traffic.
-	// Zero means 5 minutes (a common default).
-	Aging sim.Time
-}
+// switchAging is how long a learned MAC stays valid without traffic (a
+// common switch default).
+const switchAging = 5 * sim.Minute
 
 // NewSwitch creates an empty switch.
-func NewSwitch(k *sim.Kernel, alloc *MACAllocator, cfg SwitchConfig) *Switch {
-	if cfg.Aging == 0 {
-		cfg.Aging = 5 * sim.Minute
-	}
-	cfg.Port.fill()
-	return &Switch{
-		kernel:   k,
-		macAlloc: alloc,
-		cfg:      cfg.Port,
-		table:    make(map[MAC]tableEntry),
-		aging:    cfg.Aging,
-	}
+func NewSwitch(k *sim.Kernel, alloc *MACAllocator) *Switch {
+	return &Switch{kernel: k, macAlloc: alloc, table: make(map[MAC]tableEntry)}
 }
 
 // Attach adds a new cable to the switch and returns the host-side port.
 func (s *Switch) Attach(hostMAC MAC) *Port {
-	swPort, hostPort := NewCable(s.kernel, s.macAlloc.Next(), hostMAC, s.cfg)
+	swPort, hostPort := NewCable(s.kernel, s.macAlloc.Next(), hostMAC)
 	idx := len(s.ports)
 	s.ports = append(s.ports, swPort)
 	swPort.SetPromiscuous(true) // switches see every frame on their ports
@@ -70,7 +54,7 @@ func (s *Switch) onFrame(in int, f Frame) {
 		s.table[f.Src] = tableEntry{port: in, lastSeen: now}
 	}
 	if !f.Dst.IsMulticast() {
-		if e, ok := s.table[f.Dst]; ok && now-e.lastSeen <= s.aging {
+		if e, ok := s.table[f.Dst]; ok && now-e.lastSeen <= switchAging {
 			if e.port != in {
 				s.ForwardedFrames++
 				s.ports[e.port].Transmit(f)
@@ -91,30 +75,29 @@ func (s *Switch) onFrame(in int, f Frame) {
 // wired-side rogue detector.
 func (s *Switch) LookupPort(m MAC) (int, bool) {
 	e, ok := s.table[m]
-	if !ok || s.kernel.Now()-e.lastSeen > s.aging {
+	if !ok || s.kernel.Now()-e.lastSeen > switchAging {
 		return 0, false
 	}
 	return e.port, true
 }
 
-// Hub is a dumb repeater: every frame goes out every other port. Included as
-// the wired worst case for the E8 eavesdropping comparison.
+// Hub is a dumb repeater: every frame goes out every other port. It is the
+// wired worst case E8's note cites: E8 itself builds no hub, and the Hub
+// tests show a port on one seeing every other port's traffic.
 type Hub struct {
 	kernel   *sim.Kernel
 	macAlloc *MACAllocator
-	cfg      PortConfig
 	ports    []*Port
 }
 
 // NewHub creates an empty hub.
-func NewHub(k *sim.Kernel, alloc *MACAllocator, cfg PortConfig) *Hub {
-	cfg.fill()
-	return &Hub{kernel: k, macAlloc: alloc, cfg: cfg}
+func NewHub(k *sim.Kernel, alloc *MACAllocator) *Hub {
+	return &Hub{kernel: k, macAlloc: alloc}
 }
 
 // Attach adds a new cable to the hub and returns the host-side port.
 func (h *Hub) Attach(hostMAC MAC) *Port {
-	hubPort, hostPort := NewCable(h.kernel, h.macAlloc.Next(), hostMAC, h.cfg)
+	hubPort, hostPort := NewCable(h.kernel, h.macAlloc.Next(), hostMAC)
 	idx := len(h.ports)
 	h.ports = append(h.ports, hubPort)
 	hubPort.SetPromiscuous(true)

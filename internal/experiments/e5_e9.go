@@ -353,27 +353,3 @@ func E9Overhead(s Scale) Table {
 	}
 	return t
 }
-
-// All runs every experiment at the given scale.
-func All(s Scale) []Table {
-	return []Table{
-		E1AssociationCapture(s),
-		E2DownloadMITM(s),
-		E2bBoundary(s),
-		E2cContentInjection(s),
-		E2dHostileHotspot(s),
-		E3VPNDefense(s),
-		E4FMSCrack(s),
-		E5MACFilterBypass(s),
-		E6TCPoverTCP(s),
-		E7Detection(s),
-		E8Eavesdrop(s),
-		E9Overhead(s),
-		E10DeauthStorm(s),
-		E11APOutage(s),
-		E12BurstLoss(s),
-		E13FirstHopRogue(s),
-		E14RelayChainChaos(s),
-		E15CampusScale(s),
-	}
-}

@@ -299,20 +299,20 @@ func TestE14Shape(t *testing.T) {
 	}
 }
 
-// TestParallelSweepsMatchSequential pins the tentpole's determinism claim:
-// every table fans its trials out through core.Sweep, and fanning across
-// workers must not change a single byte of any rendered table. GOMAXPROCS=1
-// forces the sweep's sequential fallback; GOMAXPROCS=4 forces the worker
-// pool even on a single-core machine (workers pull points in whatever order
-// the scheduler allows — only the result slots are ordered).
+// TestParallelSweepsMatchSequential pins the determinism claim: every table
+// fans its trials out through core.Sweep, and fanning across workers must
+// not change a single byte of any rendered table. At GOMAXPROCS=1 one worker
+// takes the points in order; GOMAXPROCS=4 runs four workers even on a
+// single-core machine (workers pull points in whatever order the scheduler
+// allows — only the result slots are ordered).
 func TestParallelSweepsMatchSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full tiny-scale suite twice")
 	}
 	render := func() []string {
-		tables := All(tiny)
-		out := make([]string, len(tables))
-		for i, tbl := range tables {
+		out := make([]string, len(Registry))
+		for i, e := range Registry {
+			tbl := e.Run(tiny)
 			out[i] = tbl.String()
 		}
 		return out

@@ -16,8 +16,8 @@ var update = flag.Bool("update", false, "rewrite the golden experiment tables")
 // regression or an intentional change that should be reviewed and then
 // re-recorded with `go test ./internal/experiments -run TestGoldenTables -update`.
 func TestGoldenTables(t *testing.T) {
-	for _, tbl := range All(tiny) {
-		tbl := tbl
+	for _, e := range Registry {
+		tbl := e.Run(tiny)
 		t.Run(tbl.ID, func(t *testing.T) {
 			t.Parallel()
 			got := tbl.String()

@@ -74,7 +74,7 @@ func phyPos(x float64) phy.Position { return phy.Position{X: x, Y: 0} }
 func proxyOnce(body []byte, rule string, streaming bool) []byte {
 	k := sim.NewKernel(1)
 	var alloc ethernet.MACAllocator
-	sw := ethernet.NewSwitch(k, &alloc, ethernet.SwitchConfig{})
+	sw := ethernet.NewSwitch(k, &alloc)
 	prefix := inet.MustParsePrefix("10.0.0.0/24")
 
 	mk := func(name string, addr string) *tcp.Stack {

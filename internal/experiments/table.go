@@ -85,6 +85,37 @@ type Scale struct {
 // DefaultScale is used by cmd/experiments.
 var DefaultScale = Scale{Trials: 5}
 
+// Experiment is one reproduced table: the id cmd/experiments selects it by
+// and the function that renders it.
+type Experiment struct {
+	ID  string
+	Run func(Scale) Table
+}
+
+// Registry lists every experiment, E1 to E15, each sub-table after its
+// parent. cmd/experiments runs them in this order and selects them by ID;
+// the golden tests iterate it.
+var Registry = []Experiment{
+	{"e1", E1AssociationCapture},
+	{"e2", E2DownloadMITM},
+	{"e2b", E2bBoundary},
+	{"e2c", E2cContentInjection},
+	{"e2d", E2dHostileHotspot},
+	{"e3", E3VPNDefense},
+	{"e4", E4FMSCrack},
+	{"e5", E5MACFilterBypass},
+	{"e6", E6TCPoverTCP},
+	{"e7", E7Detection},
+	{"e8", E8Eavesdrop},
+	{"e9", E9Overhead},
+	{"e10", E10DeauthStorm},
+	{"e11", E11APOutage},
+	{"e12", E12BurstLoss},
+	{"e13", E13FirstHopRogue},
+	{"e14", E14RelayChainChaos},
+	{"e15", E15CampusScale},
+}
+
 func (s Scale) trials() int {
 	if s.Trials <= 0 {
 		return 5

@@ -116,7 +116,7 @@ func TestEngineAPCrashRestart(t *testing.T) {
 
 func TestEngineWireCorruptionAndDup(t *testing.T) {
 	k := sim.NewKernel(1)
-	pa, pb := ethernet.NewCable(k, ethernet.MAC{2, 0, 0, 0, 0, 0xa}, ethernet.MAC{2, 0, 0, 0, 0, 0xb}, ethernet.PortConfig{})
+	pa, pb := ethernet.NewCable(k, ethernet.MAC{2, 0, 0, 0, 0, 0xa}, ethernet.MAC{2, 0, 0, 0, 0, 0xb})
 	e := New(k, Targets{UplinkPorts: []*ethernet.Port{pa}})
 	mustInstall(t, e, "corrupt@1s+2s(p=1);dup@4s+2s(p=1)")
 

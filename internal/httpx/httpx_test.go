@@ -30,7 +30,7 @@ func newWeb(t *testing.T) *web {
 	t.Helper()
 	k := sim.NewKernel(1)
 	var alloc ethernet.MACAllocator
-	sw := ethernet.NewSwitch(k, &alloc, ethernet.SwitchConfig{})
+	sw := ethernet.NewSwitch(k, &alloc)
 	prefix := inet.MustParsePrefix("10.0.0.0/24")
 	ipC := ipv4.NewStack(k, "client")
 	ipC.AddIface("eth0", sw.Attach(alloc.Next()), inet.MustParseAddr("10.0.0.1"), prefix)

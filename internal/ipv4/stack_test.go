@@ -89,7 +89,7 @@ type lanHost struct {
 func lan(t *testing.T, k *sim.Kernel, n int) []lanHost {
 	t.Helper()
 	var alloc ethernet.MACAllocator
-	sw := ethernet.NewSwitch(k, &alloc, ethernet.SwitchConfig{})
+	sw := ethernet.NewSwitch(k, &alloc)
 	hosts := make([]lanHost, n)
 	prefix := inet.MustParsePrefix("10.0.0.0/24")
 	for i := range hosts {
@@ -147,8 +147,8 @@ func TestNoRouteError(t *testing.T) {
 func routedPair(t *testing.T, k *sim.Kernel) (a, r, b *Stack) {
 	t.Helper()
 	var alloc ethernet.MACAllocator
-	swA := ethernet.NewSwitch(k, &alloc, ethernet.SwitchConfig{})
-	swB := ethernet.NewSwitch(k, &alloc, ethernet.SwitchConfig{})
+	swA := ethernet.NewSwitch(k, &alloc)
+	swB := ethernet.NewSwitch(k, &alloc)
 
 	a = NewStack(k, "A")
 	a.AddIface("eth0", swA.Attach(alloc.Next()), inet.MustParseAddr("10.0.1.2"), inet.MustParsePrefix("10.0.1.0/24"))

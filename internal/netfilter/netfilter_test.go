@@ -118,8 +118,8 @@ func newGatewayWorld(t *testing.T) *gatewayWorld {
 	t.Helper()
 	k := sim.NewKernel(1)
 	var alloc ethernet.MACAllocator
-	sw1 := ethernet.NewSwitch(k, &alloc, ethernet.SwitchConfig{})
-	sw2 := ethernet.NewSwitch(k, &alloc, ethernet.SwitchConfig{})
+	sw1 := ethernet.NewSwitch(k, &alloc)
+	sw2 := ethernet.NewSwitch(k, &alloc)
 
 	clientIP := inet.MustParseAddr("10.0.1.2")
 	gwA := inet.MustParseAddr("10.0.1.1")

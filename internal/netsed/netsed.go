@@ -211,8 +211,9 @@ func applyRules(rules []*Rule, b []byte) []byte {
 }
 
 // Proxy is the netsed process: it accepts TCP connections on a local port
-// and splices each one to a fixed upstream destination, rewriting both
-// directions. The command line from the paper —
+// and splices each one to a fixed upstream destination, rewriting the
+// server's replies to the client (netsed rewrites both directions; the
+// paper's attack needs only this one). The command line from the paper —
 //
 //	netsed tcp 10101 Target-IP 80 s/href=file.tgz/.../ s/REALMD5SUM/FAKEMD5SUM
 //
@@ -237,9 +238,6 @@ type Config struct {
 	// improvement); false reproduces original netsed's per-segment
 	// matching.
 	Streaming bool
-	// RewriteClientToServer also applies rules upstream-ward (netsed does
-	// both directions; the paper's attack only needs server->client).
-	RewriteClientToServer bool
 }
 
 // Start launches the proxy on the host's TCP stack.
@@ -277,20 +275,6 @@ func (p *Proxy) onAccept(client *tcp.Conn) {
 		client.Abort()
 		return
 	}
-	var up Rewriter
-	if p.cfg.RewriteClientToServer {
-		upr := make([]*Rule, len(rules))
-		for i, r := range rules {
-			cp := *r
-			upr[i] = &cp
-		}
-		if p.cfg.Streaming {
-			up = NewStreamRewriter(upr)
-		} else {
-			up = NewChunkRewriter(upr)
-		}
-	}
-
 	server, err := p.tcpStack.Dial(p.cfg.Upstream)
 	if err != nil {
 		client.Abort()
@@ -300,9 +284,6 @@ func (p *Proxy) onAccept(client *tcp.Conn) {
 	serverUp := false
 
 	client.OnData = func(b []byte) {
-		if up != nil {
-			b = up.Rewrite(b)
-		}
 		if !serverUp {
 			pendingToServer = append(pendingToServer, append([]byte(nil), b...))
 			return
@@ -311,11 +292,6 @@ func (p *Proxy) onAccept(client *tcp.Conn) {
 	}
 	client.OnEOF = func() {
 		if serverUp {
-			if up != nil {
-				if tail := up.Flush(); len(tail) > 0 {
-					_ = server.Write(tail)
-				}
-			}
 			server.Close()
 		}
 	}

@@ -187,7 +187,7 @@ func newProxyWorld(t *testing.T, cfg Config) *proxyWorld {
 	t.Helper()
 	k := sim.NewKernel(1)
 	var alloc ethernet.MACAllocator
-	sw := ethernet.NewSwitch(k, &alloc, ethernet.SwitchConfig{})
+	sw := ethernet.NewSwitch(k, &alloc)
 	prefix := inet.MustParsePrefix("10.0.0.0/24")
 
 	ipC := ipv4.NewStack(k, "client")
@@ -245,21 +245,6 @@ func TestProxyClientToServerUntouchedByDefault(t *testing.T) {
 	c.OnConnect = func() { _ = c.Write([]byte("my SECRET query")) }
 	w.k.RunUntil(10 * sim.Second)
 	if string(atServer) != "my SECRET query" {
-		t.Fatalf("server got %q", atServer)
-	}
-}
-
-func TestProxyRewriteBothDirections(t *testing.T) {
-	w := newProxyWorld(t, Config{Rules: []string{"s/SECRET/XXXXXX"}, RewriteClientToServer: true})
-	l, _ := w.server.Listen(80)
-	var atServer []byte
-	l.OnAccept = func(c *tcp.Conn) {
-		c.OnData = func(b []byte) { atServer = append(atServer, b...) }
-	}
-	c, _ := w.client.Dial(inet.MustParseHostPort("10.0.0.254:10101"))
-	c.OnConnect = func() { _ = c.Write([]byte("my SECRET query")) }
-	w.k.RunUntil(10 * sim.Second)
-	if string(atServer) != "my XXXXXX query" {
 		t.Fatalf("server got %q", atServer)
 	}
 }

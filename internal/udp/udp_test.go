@@ -13,7 +13,7 @@ func newPair(t *testing.T) (*sim.Kernel, *Stack, *Stack) {
 	t.Helper()
 	k := sim.NewKernel(1)
 	var alloc ethernet.MACAllocator
-	sw := ethernet.NewSwitch(k, &alloc, ethernet.SwitchConfig{})
+	sw := ethernet.NewSwitch(k, &alloc)
 	prefix := inet.MustParsePrefix("10.0.0.0/24")
 	ipA := ipv4.NewStack(k, "A")
 	ipA.AddIface("eth0", sw.Attach(alloc.Next()), inet.MustParseAddr("10.0.0.1"), prefix)

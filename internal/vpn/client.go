@@ -19,47 +19,31 @@ type ClientConfig struct {
 	PSK []byte
 	// Server is the trusted endpoint, selected out of band — never
 	// discovered from the (possibly hostile) local network.
-	Server  inet.HostPort
-	Carrier Carrier
+	Server inet.HostPort
 	// SplitTunnelPrefixes, when non-empty, routes only these prefixes
 	// through the tunnel instead of all traffic. This violates the
 	// paper's requirement 4 and exists as the E3 ablation demonstrating
 	// why ("A solution that is local to one network will not protect the
 	// client reliably").
 	SplitTunnelPrefixes []inet.Prefix
-	// HandshakeTimeout defaults to 10 s.
-	HandshakeTimeout sim.Time
 
 	// Keepalive enables dead-peer detection: every Keepalive the client
 	// sends a sealed liveness probe, and if nothing authenticated arrives
-	// for PeerTimeout it declares the peer dead and re-handshakes with
+	// for three intervals it declares the peer dead and re-handshakes with
 	// exponential backoff (fresh nonces, fresh keys). Zero disables the
 	// whole mechanism, which is the default — a client without keepalives
 	// behaves exactly as before.
 	Keepalive sim.Time
-	// PeerTimeout is the silence threshold (default 3×Keepalive).
-	PeerTimeout sim.Time
-	// ReconnectBackoffBase/Max bound the redial ladder (defaults 1 s / 30 s).
-	ReconnectBackoffBase sim.Time
-	ReconnectBackoffMax  sim.Time
 }
 
-func (c *ClientConfig) fill() {
-	if c.HandshakeTimeout == 0 {
-		c.HandshakeTimeout = 10 * sim.Second
-	}
-	if c.Keepalive > 0 {
-		if c.PeerTimeout == 0 {
-			c.PeerTimeout = 3 * c.Keepalive
-		}
-		if c.ReconnectBackoffBase == 0 {
-			c.ReconnectBackoffBase = sim.Second
-		}
-		if c.ReconnectBackoffMax == 0 {
-			c.ReconnectBackoffMax = 30 * sim.Second
-		}
-	}
-}
+// The client's handshake budget and its redial ladder (1 s doubling to
+// 30 s). Without keepalives only the overlay carrier's no-route retry
+// climbs the ladder.
+const (
+	handshakeTimeout     = 10 * sim.Second
+	reconnectBackoffBase = sim.Second
+	reconnectBackoffMax  = 30 * sim.Second
+)
 
 // Client state.
 type clientState int
@@ -149,9 +133,9 @@ func (c *Client) Healing() bool { return c.healing }
 // ladder, and the DPD loop (armed only once the tunnel is up).
 func newClient(ip *ipv4.Stack, cfg ClientConfig) *Client {
 	c := &Client{cfg: cfg, ip: ip, state: stateIdle}
-	c.bo = backoff{base: cfg.ReconnectBackoffBase, max: cfg.ReconnectBackoffMax}
+	c.bo = backoff{base: reconnectBackoffBase, max: reconnectBackoffMax}
 	c.ka = dpd{
-		k: ip.Kernel(), interval: cfg.Keepalive, timeout: cfg.PeerTimeout,
+		k: ip.Kernel(), interval: cfg.Keepalive, timeout: 3 * cfg.Keepalive,
 		live: func() bool { return c.state == stateUp },
 		probe: func() {
 			c.KeepalivesSent++
@@ -165,7 +149,6 @@ func newClient(ip *ipv4.Stack, cfg ClientConfig) *Client {
 // ConnectTCP brings the tunnel up over a TCP carrier (the paper's
 // PPP-over-SSH arrangement).
 func ConnectTCP(ip *ipv4.Stack, t *tcp.Stack, cfg ClientConfig) (*Client, error) {
-	cfg.fill()
 	c := newClient(ip, cfg)
 	var cur *tcp.Conn
 	attach := func(conn *tcp.Conn) {
@@ -190,7 +173,7 @@ func ConnectTCP(ip *ipv4.Stack, t *tcp.Stack, cfg ClientConfig) (*Client, error)
 			switch {
 			case c.state == stateUp && c.cfg.Keepalive > 0:
 				// The carrier died under an established tunnel: no need to
-				// wait out PeerTimeout, the peer is already known dead.
+				// wait out the DPD silence, the peer is already known dead.
 				c.peerDead()
 			case c.state != stateUp && c.state != stateDown:
 				if c.healing {
@@ -230,7 +213,6 @@ func ConnectTCP(ip *ipv4.Stack, t *tcp.Stack, cfg ClientConfig) (*Client, error)
 
 // ConnectUDP brings the tunnel up over a UDP carrier.
 func ConnectUDP(ip *ipv4.Stack, u *udp.Stack, cfg ClientConfig) (*Client, error) {
-	cfg.fill()
 	c := newClient(ip, cfg)
 	sock, err := u.Bind(0)
 	if err != nil {
@@ -288,7 +270,7 @@ func errOr(err error) error {
 }
 
 func (c *Client) armTimeout() {
-	c.timeout = c.ip.Kernel().After(c.cfg.HandshakeTimeout, func() {
+	c.timeout = c.ip.Kernel().After(handshakeTimeout, func() {
 		if c.state == stateUp {
 			return
 		}

@@ -9,14 +9,11 @@ import (
 )
 
 // keepaliveCfg is a fast DPD configuration for tests: probe every second,
-// declare the peer dead after 3 s of silence, redial on a 500 ms ladder.
+// declare the peer dead after 3 s of silence.
 func keepaliveCfg() ClientConfig {
 	return ClientConfig{
 		PSK: []byte("secret"), Server: vpnServerHP,
-		Keepalive:            sim.Second,
-		HandshakeTimeout:     2 * sim.Second,
-		ReconnectBackoffBase: 500 * sim.Millisecond,
-		ReconnectBackoffMax:  4 * sim.Second,
+		Keepalive: sim.Second,
 	}
 }
 
@@ -24,12 +21,11 @@ func keepaliveCfg() ClientConfig {
 // exchanges sealed probes in both directions and never trips DPD.
 func TestKeepaliveProbesFlow(t *testing.T) {
 	w := newVPNWorld(t)
-	srv, err := NewServerUDP(w.serverIP, w.sudp, ServerConfig{Carrier: CarrierUDP, PSK: []byte("secret")})
+	srv, err := NewServerUDP(w.serverIP, w.sudp, ServerConfig{PSK: []byte("secret")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := keepaliveCfg()
-	cfg.Carrier = CarrierUDP
 	cli, err := ConnectUDP(w.clientIP, w.cudp, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -57,12 +53,11 @@ func TestKeepaliveProbesFlow(t *testing.T) {
 // traffic that decrypts correctly end to end.
 func TestDeadPeerRecoversUDP(t *testing.T) {
 	w := newVPNWorld(t)
-	srv, err := NewServerUDP(w.serverIP, w.sudp, ServerConfig{Carrier: CarrierUDP, PSK: []byte("secret")})
+	srv, err := NewServerUDP(w.serverIP, w.sudp, ServerConfig{PSK: []byte("secret")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := keepaliveCfg()
-	cfg.Carrier = CarrierUDP
 	cli, err := ConnectUDP(w.clientIP, w.cudp, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -181,11 +176,10 @@ func TestDeadPeerRecoversTCP(t *testing.T) {
 func TestKeepaliveDeterministic(t *testing.T) {
 	run := func() uint64 {
 		w := newVPNWorld(t)
-		if _, err := NewServerUDP(w.serverIP, w.sudp, ServerConfig{Carrier: CarrierUDP, PSK: []byte("secret")}); err != nil {
+		if _, err := NewServerUDP(w.serverIP, w.sudp, ServerConfig{PSK: []byte("secret")}); err != nil {
 			t.Fatal(err)
 		}
 		cfg := keepaliveCfg()
-		cfg.Carrier = CarrierUDP
 		if _, err := ConnectUDP(w.clientIP, w.cudp, cfg); err != nil {
 			t.Fatal(err)
 		}

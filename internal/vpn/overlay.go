@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/inet"
 	"repro/internal/ipv4"
-	"repro/internal/sim"
 	"repro/internal/tcp"
 )
 
@@ -66,14 +65,6 @@ type NodeConfig struct {
 	PSK []byte
 	// Advertise lists the prefixes this node terminates (exits).
 	Advertise []inet.Prefix
-
-	// Per-link liveness and healing, with the same defaults as the
-	// end-to-end ClientConfig.
-	Keepalive        sim.Time
-	PeerTimeout      sim.Time
-	HandshakeTimeout sim.Time
-	BackoffBase      sim.Time
-	BackoffMax       sim.Time
 }
 
 // Overlay errors.
@@ -198,17 +189,6 @@ type link struct {
 	nextID  uint32   // odd on the dialing side, even on the accepting side
 }
 
-func (n *Node) linkConfig() linkConfig {
-	return linkConfig{
-		psk:              n.cfg.PSK,
-		handshakeTimeout: n.cfg.HandshakeTimeout,
-		keepalive:        n.cfg.Keepalive,
-		peerTimeout:      n.cfg.PeerTimeout,
-		backoffBase:      n.cfg.BackoffBase,
-		backoffMax:       n.cfg.BackoffMax,
-	}
-}
-
 // AddPeer dials a persistent link to a neighbour. The link heals itself: if
 // the carrier dies or the neighbour goes silent, it backs off and redials
 // forever (the mesh may heal arbitrarily later).
@@ -218,7 +198,7 @@ func (n *Node) AddPeer(addr inet.HostPort) {
 		streams: make(map[uint32]*linkStream), nextID: 1,
 	}
 	n.nextSeq++
-	l.p = newPeer(n.ip.Kernel(), n.linkConfig(), true)
+	l.p = newPeer(n.ip.Kernel(), n.cfg.PSK, true)
 	l.p.onUp = func() { n.linkUp(l) }
 	l.p.onDown = func() { n.linkDown(l) }
 	l.p.onFrame = func(typ byte, body []byte) { n.handleFrame(l, typ, body) }
@@ -246,7 +226,7 @@ func (n *Node) acceptLink(conn *tcp.Conn) {
 		streams: make(map[uint32]*linkStream), nextID: 2,
 	}
 	n.nextSeq++
-	l.p = newPeer(n.ip.Kernel(), n.linkConfig(), false)
+	l.p = newPeer(n.ip.Kernel(), n.cfg.PSK, false)
 	l.p.onUp = func() { n.linkUp(l) }
 	l.p.onDown = func() { n.linkDown(l) }
 	l.p.onFrame = func(typ byte, body []byte) { n.handleFrame(l, typ, body) }
@@ -304,7 +284,7 @@ func (l *link) attach(conn *tcp.Conn) {
 		}
 		if p.state == stateUp || !p.dialer {
 			// Established link (either side) or any responder carrier: the
-			// peer is already known dead, no need to wait out PeerTimeout.
+			// peer is already known dead, no need to wait out the DPD silence.
 			p.peerDead()
 			return
 		}

@@ -36,23 +36,16 @@ type meshWorld struct {
 
 var exitHP = inet.MustParseHostPort("10.0.1.1:4789")
 
-// overlayCfg returns a fast-healing link configuration for tests.
+// overlayCfg returns one test node's configuration.
 func overlayCfg(name string, role Role) NodeConfig {
-	return NodeConfig{
-		Name: name, Role: role, PSK: []byte("mesh-psk"),
-		Keepalive:        500 * sim.Millisecond,
-		PeerTimeout:      1500 * sim.Millisecond,
-		HandshakeTimeout: 2 * sim.Second,
-		BackoffBase:      250 * sim.Millisecond,
-		BackoffMax:       4 * sim.Second,
-	}
+	return NodeConfig{Name: name, Role: role, PSK: []byte("mesh-psk")}
 }
 
 func newMeshWorld(t *testing.T, seed uint64) *meshWorld {
 	t.Helper()
 	k := sim.NewKernel(seed)
 	var alloc ethernet.MACAllocator
-	sw := ethernet.NewSwitch(k, &alloc, ethernet.SwitchConfig{})
+	sw := ethernet.NewSwitch(k, &alloc)
 
 	host := func(name, addr string) *ipv4.Stack {
 		ip := ipv4.NewStack(k, name)
@@ -180,10 +173,7 @@ func TestOverlayTunnelFailover(t *testing.T) {
 	w.k.At(sim.Second, func() {
 		cfg := ClientConfig{
 			PSK: []byte("secret"), Server: exitHP,
-			Keepalive:            500 * sim.Millisecond,
-			HandshakeTimeout:     2 * sim.Second,
-			ReconnectBackoffBase: 250 * sim.Millisecond,
-			ReconnectBackoffMax:  4 * sim.Second,
+			Keepalive: 500 * sim.Millisecond,
 		}
 		cli, err = ConnectOverlay(w.clientIP, w.client, cfg)
 		if err != nil {
@@ -327,7 +317,7 @@ func TestStaleCarrierCannotDeliver(t *testing.T) {
 func TestRelayChainReconnectStormConverges(t *testing.T) {
 	k := sim.NewKernel(42)
 	var alloc ethernet.MACAllocator
-	sw := ethernet.NewSwitch(k, &alloc, ethernet.SwitchConfig{})
+	sw := ethernet.NewSwitch(k, &alloc)
 	host := func(name, addr string) *ipv4.Stack {
 		ip := ipv4.NewStack(k, name)
 		ip.AddIface("eth0", sw.Attach(alloc.Next()), inet.MustParseAddr(addr), inet.MustParsePrefix("10.0.1.0/24"))
@@ -411,7 +401,7 @@ func TestOverlayDeterministic(t *testing.T) {
 		w.k.At(sim.Second, func() {
 			_, err := ConnectOverlay(w.clientIP, w.client, ClientConfig{
 				PSK: []byte("secret"), Server: exitHP,
-				Keepalive: 500 * sim.Millisecond, ReconnectBackoffBase: 250 * sim.Millisecond,
+				Keepalive: 500 * sim.Millisecond,
 			})
 			if err != nil {
 				t.Errorf("ConnectOverlay: %v", err)

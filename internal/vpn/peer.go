@@ -184,31 +184,17 @@ func (h *handshakeState) onAuth(psk, body []byte) authResult {
 	return authOK
 }
 
-// linkConfig parameterises one overlay link's peer state machine. Zero
-// values take the same defaults as the end-to-end ClientConfig.
-type linkConfig struct {
-	psk              []byte
-	handshakeTimeout sim.Time
-	keepalive        sim.Time
-	peerTimeout      sim.Time
-	backoffBase      sim.Time
-	backoffMax       sim.Time
-}
-
-func (c *linkConfig) fill() {
-	if c.handshakeTimeout == 0 {
-		c.handshakeTimeout = 10 * sim.Second
-	}
-	if c.keepalive > 0 && c.peerTimeout == 0 {
-		c.peerTimeout = 3 * c.keepalive
-	}
-	if c.backoffBase == 0 {
-		c.backoffBase = sim.Second
-	}
-	if c.backoffMax == 0 {
-		c.backoffMax = 30 * sim.Second
-	}
-}
+// Every overlay link's liveness and healing. Snappy link healing (1 s
+// probes, 3 s silence budget, 500 ms–8 s backoff) keeps relay failover well
+// inside the end-to-end tunnel's DPD budget. The links always need
+// liveness: a partitioned relay produces silence, not a TCP reset.
+const (
+	linkKeepalive        = sim.Second
+	linkPeerTimeout      = 3 * linkKeepalive
+	linkHandshakeTimeout = 2 * sim.Second
+	linkBackoffBase      = 500 * sim.Millisecond
+	linkBackoffMax       = 8 * sim.Second
+)
 
 // peer is one overlay link's state machine: the PSK handshake (as initiator
 // on the dialing side, responder on the listening side), sealed record
@@ -217,7 +203,7 @@ func (c *linkConfig) fill() {
 // send/abort to a transport and feeds received messages into handleMsg.
 type peer struct {
 	k      *sim.Kernel
-	cfg    linkConfig
+	psk    []byte
 	dialer bool
 
 	state  clientState
@@ -252,12 +238,11 @@ type peer struct {
 
 // newPeer builds a link state machine. The owner must set send/abort (and,
 // on the dialing side, redial) before the carrier delivers anything.
-func newPeer(k *sim.Kernel, cfg linkConfig, dialer bool) *peer {
-	cfg.fill()
-	p := &peer{k: k, cfg: cfg, dialer: dialer}
-	p.bo = backoff{base: cfg.backoffBase, max: cfg.backoffMax}
+func newPeer(k *sim.Kernel, psk []byte, dialer bool) *peer {
+	p := &peer{k: k, psk: psk, dialer: dialer}
+	p.bo = backoff{base: linkBackoffBase, max: linkBackoffMax}
 	p.ka = dpd{
-		k: k, interval: cfg.keepalive, timeout: cfg.peerTimeout,
+		k: k, interval: linkKeepalive, timeout: linkPeerTimeout,
 		live:    func() bool { return p.state == stateUp },
 		expired: func() { p.peerDead() },
 	}
@@ -286,7 +271,7 @@ func (p *peer) begin() {
 // dialer owns recovery, so a half-open inbound link just dies.
 func (p *peer) armTimeout() {
 	gen := p.gen
-	p.timeout = p.k.After(p.cfg.handshakeTimeout, func() {
+	p.timeout = p.k.After(linkHandshakeTimeout, func() {
 		if gen != p.gen || p.state == stateUp || p.state == stateDown {
 			return
 		}
@@ -368,7 +353,7 @@ func (p *peer) handleMsg(msg []byte) {
 		if p.dialer {
 			return
 		}
-		resp, _, ok := p.hs.onHello(p.k, p.cfg.psk, body)
+		resp, _, ok := p.hs.onHello(p.k, p.psk, body)
 		if !ok {
 			return
 		}
@@ -381,7 +366,7 @@ func (p *peer) handleMsg(msg []byte) {
 		if !ok {
 			return
 		}
-		if !bytes.Equal(proof, authTag(p.cfg.psk, "server", p.nonceC, nonceS)) {
+		if !bytes.Equal(proof, authTag(p.psk, "server", p.nonceC, nonceS)) {
 			// Whatever answered is not our neighbour. Drop the carrier and
 			// back off — identical handling to a dead hop.
 			p.state = stateIdle
@@ -392,8 +377,8 @@ func (p *peer) handleMsg(msg []byte) {
 			p.retry()
 			return
 		}
-		p.seal, p.open = initiatorKeys(p.cfg.psk, p.nonceC, nonceS)
-		p.send(frame(msgClientAuth, authTag(p.cfg.psk, "client", p.nonceC, nonceS)))
+		p.seal, p.open = initiatorKeys(p.psk, p.nonceC, nonceS)
+		p.send(frame(msgClientAuth, authTag(p.psk, "client", p.nonceC, nonceS)))
 		// Optimistically up: if the responder rejects the proof it aborts
 		// the carrier, which lands us back in the redial ladder.
 		p.up()
@@ -401,9 +386,9 @@ func (p *peer) handleMsg(msg []byte) {
 		if p.dialer {
 			return
 		}
-		switch p.hs.onAuth(p.cfg.psk, body) {
+		switch p.hs.onAuth(p.psk, body) {
 		case authOK:
-			p.seal, p.open = responderKeys(p.cfg.psk, p.hs.nonceC, p.hs.nonceS)
+			p.seal, p.open = responderKeys(p.psk, p.hs.nonceC, p.hs.nonceS)
 			p.up()
 		case authBad:
 			// Unauthenticated dialer: kill the carrier.

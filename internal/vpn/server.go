@@ -42,8 +42,7 @@ const tunName = "tun0"
 // ServerConfig configures a VPN endpoint.
 type ServerConfig struct {
 	// PSK is the preestablished shared secret (paper requirement 2).
-	PSK     []byte
-	Carrier Carrier
+	PSK []byte
 }
 
 // session is one authenticated client on the server.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/inet"
 	"repro/internal/ipv4"
-	"repro/internal/sim"
 )
 
 // The end-to-end tunnel over the overlay: the client's carrier is an
@@ -21,14 +20,7 @@ import (
 // route to cfg.Server must already be advertised (give the mesh a moment to
 // converge before connecting — exactly like waiting for a DHCP lease).
 func ConnectOverlay(ip *ipv4.Stack, node *Node, cfg ClientConfig) (*Client, error) {
-	cfg.fill()
 	c := newClient(ip, cfg)
-	// The overlay carrier always needs the reconnect ladder (a no-route
-	// OpenStream backs off and retries even without DPD), so default it even
-	// when fill() skipped the keepalive block.
-	if c.bo.base == 0 {
-		c.bo = backoff{base: sim.Second, max: 30 * sim.Second}
-	}
 	// Pin every dialed neighbour's path to the physical network NOW, before
 	// the tunnel's redirect-gateway routes exist: the mesh carriers must
 	// never be routed into the tunnel they carry. (bringUp pins cfg.Server

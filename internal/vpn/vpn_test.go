@@ -184,8 +184,8 @@ func newVPNWorld(t *testing.T) *vpnWorld {
 	t.Helper()
 	k := sim.NewKernel(1)
 	var alloc ethernet.MACAllocator
-	swA := ethernet.NewSwitch(k, &alloc, ethernet.SwitchConfig{})
-	swB := ethernet.NewSwitch(k, &alloc, ethernet.SwitchConfig{})
+	swA := ethernet.NewSwitch(k, &alloc)
+	swB := ethernet.NewSwitch(k, &alloc)
 
 	clientIP := ipv4.NewStack(k, "client")
 	clientIP.AddIface("eth0", swA.Attach(alloc.Next()), inet.MustParseAddr("10.0.1.2"), inet.MustParsePrefix("10.0.1.0/24"))
@@ -273,8 +273,8 @@ func endToEnd(t *testing.T, w *vpnWorld, carrier Carrier) []byte {
 	var srv *Server
 	var cli *Client
 	var err error
-	cfgS := ServerConfig{PSK: []byte("secret"), Carrier: carrier}
-	cfgC := ClientConfig{PSK: []byte("secret"), Server: vpnServerHP, Carrier: carrier}
+	cfgS := ServerConfig{PSK: []byte("secret")}
+	cfgC := ClientConfig{PSK: []byte("secret"), Server: vpnServerHP}
 	if carrier == CarrierTCP {
 		srv, err = NewServerTCP(w.serverIP, w.stcp, cfgS)
 	} else {
